@@ -12,10 +12,8 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/rangeset.hpp"
@@ -33,72 +31,6 @@ using namespace dpar;
 
 namespace {
 
-/// The pre-overhaul event engine (std::function callbacks, binary
-/// priority_queue, pending_/cancelled_ hash sets), kept verbatim as the
-/// baseline the slab-heap engine is measured against.
-class LegacyEngine {
- public:
-  using Callback = std::function<void()>;
-  struct LegacyEventId {
-    std::uint64_t seq = 0;
-    explicit operator bool() const { return seq != 0; }
-  };
-
-  LegacyEventId at(sim::Time t, Callback cb) {
-    const std::uint64_t seq = next_seq_++;
-    heap_.push(Item{t, seq, std::move(cb)});
-    pending_.insert(seq);
-    return LegacyEventId{seq};
-  }
-  LegacyEventId after(sim::Time delay, Callback cb) {
-    return at(now_ + delay, std::move(cb));
-  }
-  bool cancel(LegacyEventId id) {
-    if (!id) return false;
-    if (pending_.erase(id.seq) == 0) return false;
-    cancelled_.insert(id.seq);
-    return true;
-  }
-  bool step() {
-    while (!heap_.empty()) {
-      Item item = std::move(const_cast<Item&>(heap_.top()));
-      heap_.pop();
-      if (auto it = cancelled_.find(item.seq); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      pending_.erase(item.seq);
-      now_ = item.t;
-      item.cb();
-      return true;
-    }
-    return false;
-  }
-  void run() {
-    while (step()) {
-    }
-  }
-  sim::Time now() const { return now_; }
-
- private:
-  struct Item {
-    sim::Time t;
-    std::uint64_t seq;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Item, std::vector<Item>, Later> heap_;
-  std::unordered_set<std::uint64_t> pending_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  sim::Time now_ = 0;
-  std::uint64_t next_seq_ = 1;
-};
-
 void BM_EngineScheduleFire(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine eng;
@@ -110,25 +42,11 @@ void BM_EngineScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleFire);
 
-void BM_LegacyEngineScheduleFire(benchmark::State& state) {
-  for (auto _ : state) {
-    LegacyEngine eng;
-    for (int i = 0; i < 1000; ++i) eng.after(i, [] {});
-    eng.run();
-    benchmark::DoNotOptimize(eng.now());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_LegacyEngineScheduleFire);
-
 // The engine's real-world duty cycle: schedule with realistic captures (three
 // pointer-sized values — beyond std::function's inline buffer), cancel half
 // (the disk layer cancels plug/anticipation timers constantly), fire the rest.
-// Acceptance gate for the slab-heap engine: >= 2x legacy events/sec here.
-template <class Eng>
-void schedule_cancel_fire(Eng& eng, std::uint64_t& sink) {
-  using Id = decltype(eng.at(0, [] {}));
-  std::vector<Id> ids;
+void schedule_cancel_fire(sim::Engine& eng, std::uint64_t& sink) {
+  std::vector<sim::EventId> ids;
   ids.reserve(1024);
   std::uint64_t a = 1, b = 2, c = 3;
   for (int i = 0; i < 1024; ++i)
@@ -149,31 +67,18 @@ void BM_EngineScheduleCancelFire(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleCancelFire);
 
-void BM_LegacyEngineScheduleCancelFire(benchmark::State& state) {
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    LegacyEngine eng;
-    schedule_cancel_fire(eng, sink);
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_LegacyEngineScheduleCancelFire);
-
-// ---- Tiered event queue vs the frozen heap oracle ------------------------
-// The cancel-heavy timeout pattern the ladder queue was built for: a
-// standing population of far-future guard timers (I/O timeouts, plug and
-// anticipation timers) that is continuously re-armed, with only a trickle
-// ever firing. The heap pays a deep sift per push into the big queue; the
-// ladder files each key into a bucket in O(1) and never re-sorts on cancel.
-// One item = one schedule or cancel. perf_smoke gates ladder >= 1.5x heap.
-void BM_EventQueueSweep(benchmark::State& state, sim::QueueKind kind) {
+// ---- Event-queue timer patterns -------------------------------------------
+// The cancel-heavy timeout pattern: a standing population of far-future
+// guard timers (I/O timeouts, plug and anticipation timers) that is
+// continuously re-armed, with only a trickle ever firing. Each push sifts
+// into a big heap and each cancel leaves a stale key for the amortized
+// compaction. One item = one schedule or cancel.
+void BM_EventQueueSweep(benchmark::State& state) {
   constexpr int kPending = 1 << 15;
   constexpr int kRounds = 64;
   constexpr int kChurn = 512;
   for (auto _ : state) {
     sim::Engine eng;
-    eng.set_queue_kind(kind);
     sim::Rng rng(41);
     const auto timeout = [&rng]() -> sim::Time {
       return sim::msec(1) + static_cast<sim::Time>(rng.uniform(sim::msec(50)));
@@ -197,19 +102,16 @@ void BM_EventQueueSweep(benchmark::State& state, sim::QueueKind kind) {
   state.SetItemsProcessed(state.iterations() *
                           (kPending + 2 * kRounds * kChurn + kPending));
 }
-BENCHMARK_CAPTURE(BM_EventQueueSweep, cancel_heavy_ladder,
-                  sim::QueueKind::kLadder);
-BENCHMARK_CAPTURE(BM_EventQueueSweep, cancel_heavy_heap, sim::QueueKind::kHeap);
+BENCHMARK(BM_EventQueueSweep);
 
 // Steady-state timer churn: every fired timer immediately re-arms itself
 // (heartbeats, periodic monitors), so the queue holds a constant population
 // while events pour through pop+push. One item = one fired timer.
-void BM_EventQueueTimerChurn(benchmark::State& state, sim::QueueKind kind) {
+void BM_EventQueueTimerChurn(benchmark::State& state) {
   constexpr int kTimers = 4096;
   constexpr std::uint64_t kBudget = 1 << 16;
   for (auto _ : state) {
     sim::Engine eng;
-    eng.set_queue_kind(kind);
     std::uint64_t fired = 0;
     std::function<void(sim::Time)> arm = [&](sim::Time period) {
       eng.after(period, [&arm, &fired, period] {
@@ -224,8 +126,7 @@ void BM_EventQueueTimerChurn(benchmark::State& state, sim::QueueKind kind) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kBudget));
 }
-BENCHMARK_CAPTURE(BM_EventQueueTimerChurn, ladder, sim::QueueKind::kLadder);
-BENCHMARK_CAPTURE(BM_EventQueueTimerChurn, heap, sim::QueueKind::kHeap);
+BENCHMARK(BM_EventQueueTimerChurn);
 
 void BM_EngineSelfChaining(benchmark::State& state) {
   for (auto _ : state) {

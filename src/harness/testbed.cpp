@@ -44,9 +44,6 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
                                 "to disable DualPar)");
   // Malformed fault plans are rejected loudly even when they could not fire.
   cfg_.fault.validate();
-  // Queue-kind selection must precede every schedule, so it happens before
-  // any subsystem below touches the engine.
-  eng_.set_queue_kind(cfg_.engine_queue);
   // Node layout: data servers on [0, S), metadata server on S, compute nodes
   // on [S+1, S+1+C).
   const std::uint32_t total_nodes = cfg_.data_servers + 1 + cfg_.compute_nodes;

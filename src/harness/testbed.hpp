@@ -71,12 +71,6 @@ struct TestbedConfig {
   /// serial engine. Forced back to 0 only when switch_latency is 0 (no
   /// lookahead).
   int pdes_workers = -1;
-  /// Event-queue implementation for the engine (see sim/event_queue.hpp).
-  /// Defaults to DPAR_ENGINE_QUEUE (ladder when unset); set explicitly to
-  /// pin a run to one queue kind regardless of the environment — the
-  /// differential tests pin kHeap vs kLadder this way. Either kind yields
-  /// byte-identical simulation output; only wall-clock differs.
-  sim::QueueKind engine_queue = sim::queue_kind_from_env();
 };
 
 /// Parse DPAR_PDES_WORKERS (see TestbedConfig::pdes_workers). Unset or

@@ -37,7 +37,7 @@ struct Engine::Lane {
     Callback cb;
   };
 
-  explicit Lane(QueueKind kind) : queue(kind, &gens) {}
+  Lane() : queue(&gens) {}
 
   std::uint32_t alloc_slot() {
     if (free_head != 0) {
@@ -106,11 +106,11 @@ struct Engine::Lane {
   bool exclusive = false;
   std::vector<Slot> slots;  ///< slab of callbacks, free-listed.
   /// Slot generations, parallel to slots (bumped on every free; tags
-  /// EventId/EventKey). Kept out of Slot so stale-key checks and purges scan
-  /// a dense u32 array instead of striding over fat callback slots. Declared
-  /// before `queue`, which captures its address at construction.
+  /// EventId/EventKey). Kept out of Slot so stale-key checks and compactions
+  /// scan a dense u32 array instead of striding over fat callback slots.
+  /// Declared before `queue`, which captures its address at construction.
   std::vector<std::uint32_t> gens;
-  EventQueue queue;  ///< tiered (time, seq) key queue; see event_queue.hpp
+  EventQueue queue;  ///< (time, seq) key heap; see event_queue.hpp
   std::uint32_t free_head = 0;  ///< freelist head (index + 1; 0 = empty).
   std::size_t live = 0;
   Time now = 0;
@@ -129,8 +129,8 @@ struct Engine::Lane {
 
 thread_local Engine::Lane* Engine::t_lane_ = nullptr;
 
-Engine::Engine() : queue_kind_(queue_kind_from_env()) {
-  lanes_.push_back(std::make_unique<Lane>(queue_kind_));
+Engine::Engine() {
+  lanes_.push_back(std::make_unique<Lane>());
   lane0_ = lanes_.front().get();
 }
 
@@ -146,7 +146,7 @@ LaneId Engine::current_lane() const {
 LaneId Engine::add_lane() {
   if (in_window_)
     throw std::logic_error("Engine::add_lane: cannot add lanes mid-run");
-  auto lane = std::make_unique<Lane>(queue_kind_);
+  auto lane = std::make_unique<Lane>();
   lane->id = static_cast<LaneId>(lanes_.size());
   lanes_.push_back(std::move(lane));
   lane0_ = lanes_.front().get();
@@ -168,17 +168,6 @@ void Engine::set_lookahead(Time l) {
 
 void Engine::set_pdes_workers(unsigned w) {
   workers_ = w == 0 ? 1 : w;
-}
-
-void Engine::set_queue_kind(QueueKind kind) {
-  if (in_window_)
-    throw std::logic_error("Engine::set_queue_kind: cannot switch mid-run");
-  for (const auto& lp : lanes_)
-    if (lp->live != 0 || lp->queue.size() != 0 || lp->fired != 0)
-      throw std::logic_error(
-          "Engine::set_queue_kind: events already scheduled or fired");
-  queue_kind_ = kind;
-  for (auto& lp : lanes_) lp->queue = EventQueue(kind, &lp->gens);
 }
 
 EventId Engine::schedule_(Lane& L, Time t, Callback cb) {
@@ -273,7 +262,7 @@ bool Engine::cancel(EventId id) {
   L.free_slot(id.slot);
   --L.live;
   // The key goes stale in place — an O(1) generation kill. The queue's
-  // amortized purge keeps stale keys from ever dominating memory.
+  // amortized compaction keeps stale keys from ever dominating memory.
   L.queue.note_cancel();
   return true;
 }
@@ -364,11 +353,10 @@ void Engine::drain_outboxes_() {
           throw std::logic_error(
               "PDES: cross-lane event behind the target lane's clock "
               "(lookahead contract violated)");
-      // Bulk merge: for a large batch, take the queue's append path — the
-      // heap arm appends every key unsifted and restores order once with
-      // Floyd's O(n) rebuild, the ladder arm's filing is O(1) per key
-      // either way. Pop order depends only on the (time, seq) keys, which
-      // are assigned identically on every path.
+      // Bulk merge: for a large batch, take the queue's append path — every
+      // key is appended unsifted and order is restored once with Floyd's
+      // O(n) rebuild. Pop order depends only on the (time, seq) keys, which
+      // are assigned identically on either path.
       const bool bulk = q.size() >= 32 && q.size() * 8 >= target.queue.size();
       for (Lane::Post& p : q) {
         if (bulk) {

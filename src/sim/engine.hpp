@@ -45,15 +45,12 @@
 //    index plus its owning lane, so `cancel()` is an O(1) validity check that
 //    frees the slot (and destroys the callback) immediately — no hash sets,
 //    no deferred cleanup.
-//  * Each lane's (time, seq, slot, gen) keys live in a tiered EventQueue
-//    (event_queue.hpp): by default a ladder/timer-wheel structure whose
-//    buckets are sorted only at drain and whose cancels never trigger any
-//    re-sorting, with the original slab 4-ary heap retained behind
-//    DPAR_ENGINE_QUEUE=heap as the differential oracle. Cancelled events
-//    leave a stale key behind that is skipped on pop and reclaimed by an
-//    amortized linear purge, so cancel-heavy workloads stay bounded in
-//    memory on either queue kind. Pop order is the exact (time, seq) total
-//    order on both, so simulations are byte-identical across queue kinds.
+//  * Each lane's (time, seq, slot, gen) keys live in one slab 4-ary min-heap
+//    (event_queue.hpp), the engine's only queue. Cancelled events leave a
+//    stale key behind that is skipped on pop and reclaimed by an amortized
+//    compaction, so cancel-heavy workloads stay bounded in memory. There is
+//    no queue option: a tiered timer-wheel alternative was removed after it
+//    measured slower end to end (event_queue.hpp, DESIGN.md §10).
 #pragma once
 
 #include <cstddef>
@@ -155,24 +152,15 @@ class Engine {
   std::size_t slab_slots() const;
 
   /// Queue keys, including stale keys of cancelled events awaiting the
-  /// amortized purge (bounded at ~2x live_events() on either queue kind).
+  /// amortized compaction (bounded at ~2x live_events()).
   std::size_t queue_depth() const;
 
   /// Full structural validation (debug invariant layer) of every lane:
-  /// queue ordering (heap property / ladder bucket monotonicity),
-  /// generation-tag validity of every live key, live/stale bookkeeping,
-  /// and freelist consistency. Aborts via DPAR_ASSERT on violation. Called
-  /// automatically after every purge when DPAR_CHECK_INVARIANTS is
-  /// compiled in, and directly by tests.
+  /// heap ordering, generation-tag validity of every live key, live/stale
+  /// bookkeeping, and freelist consistency. Aborts via DPAR_ASSERT on
+  /// violation. Called automatically after every compaction when
+  /// DPAR_CHECK_INVARIANTS is compiled in, and directly by tests.
   void check_invariants() const;
-
-  /// Select the event-queue implementation (see event_queue.hpp). The
-  /// engine starts on queue_kind_from_env(); this override must happen
-  /// before any event is scheduled (it rebuilds every lane's empty queue)
-  /// and is inherited by lanes created afterwards. Throws std::logic_error
-  /// once events exist.
-  void set_queue_kind(QueueKind kind);
-  QueueKind queue_kind() const { return queue_kind_; }
 
   // ---- Conservative PDES partitioning ----
 
@@ -246,7 +234,6 @@ class Engine {
   Time horizon_ = 0;      ///< end of the currently executing window
   LaneId cur_lane_ = 0;   ///< serial-context executing lane
   LaneId excl_ = 0;       ///< exclusive lane id; 0 = none
-  QueueKind queue_kind_;  ///< event-queue implementation for every lane
   unsigned workers_ = 1;
   bool pdes_parallel_ = false;  ///< a parallel window is executing
   bool in_window_ = false;      ///< a window (serial or parallel) is executing

@@ -1,34 +1,24 @@
-// Tiered event queue behind the engine's lane API.
+// The engine's event queue: a slab 4-ary min-heap of (time, seq) keys.
 //
-// Every lane owns one EventQueue holding (time, seq, slot, gen) keys. Two
-// implementations share the class, selected per engine via
-// DPAR_ENGINE_QUEUE=heap|ladder (TestbedConfig::engine_queue overrides):
+// Every lane owns one EventQueue holding (time, seq, slot, gen) keys; the
+// callbacks themselves live in the lane's slab. The 4-ary layout is
+// shallower than a binary heap and keeps a node's four children adjacent in
+// memory. push/pop are O(log n). Cancel is O(1): the lane bumps the slot's
+// generation, the key goes stale in place, pops skip it, and an amortized
+// compaction (filter + Floyd rebuild) runs once stale keys reach half the
+// heap, so cancel-heavy timer traffic stays bounded in memory.
 //
-//  * kHeap — the slab 4-ary min-heap, frozen verbatim from the pre-ladder
-//    engine as the differential oracle (queue_reference.cpp, in the
-//    sched_reference/layout_reference style). O(log n) push/pop; cancelled
-//    keys are skipped on pop and compacted away when they reach half the
-//    heap.
-//  * kLadder — a near-future ladder backed by a hierarchical timer wheel
-//    and an unsorted far-future tail (event_queue.cpp). Keys within the
-//    current ~1 us bucket sit in a small sorted front heap; the next ~64 us
-//    (one conservative-PDES lookahead window at the 50 us switch latency)
-//    spread over 64 fixed-width level-0 buckets that are sorted only when
-//    drained; three coarser wheel levels with 64x-wider slots cover ~17 s,
-//    and everything beyond lands in the tail. push is O(1) amortized
-//    (bucket append + occupancy bit), pop moves each key through at most
-//    one cascade per level. Cancel never sorts or sifts anything: the
-//    generation tag goes stale in place and an amortized linear purge
-//    (same 1/2 threshold as the heap's compaction) keeps memory bounded —
-//    no compaction storms under cancel-heavy timer traffic.
+// Live keys pop in exactly the packed 128-bit (time, seq) total order, so
+// every simulation is deterministic and byte-identical at any
+// DPAR_PDES_WORKERS count.
 //
-// Both implementations pop live keys in exactly the packed 128-bit
-// (time, seq) total order, so every simulation is byte-identical across
-// queue kinds and DPAR_PDES_WORKERS counts; CI diffs the bench outputs to
-// enforce it.
+// This heap is the only queue. A tiered timer-wheel queue used to be the
+// default, with this heap kept beside it as an oracle; it was removed
+// because it never paid end to end. With byte-identical output it was
+// 4-22% slower on fig3/table2/replication/faults, at parity on fig4, and no
+// faster on any perfbench workload. DESIGN.md §10 has the numbers.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -52,38 +42,30 @@ struct EventKey {
   std::uint32_t gen;
 };
 
+// Kept only for perfbench's engine banner; delete with the next perfbench change.
 enum class QueueKind : std::uint8_t { kHeap, kLadder };
-
-/// Resolve DPAR_ENGINE_QUEUE: unset or empty picks the ladder (the heap is
-/// the retained oracle); "heap"/"ladder" select explicitly. Throws
-/// std::invalid_argument on anything else.
-QueueKind queue_kind_from_env();
+inline QueueKind queue_kind_from_env() { return QueueKind::kHeap; }
 
 class EventQueue {
  public:
   /// `gens` is the owning lane's slot-generation array: key `k` is stale
   /// (cancelled or superseded) exactly when (*gens)[k.slot] != k.gen. The
   /// pointer must outlive the queue; the vector may grow/reallocate freely.
-  EventQueue(QueueKind kind, const std::vector<std::uint32_t>* gens);
+  explicit EventQueue(const std::vector<std::uint32_t>* gens) : gens_(gens) {}
 
-  EventQueue(EventQueue&&) = default;
-  EventQueue& operator=(EventQueue&&) = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  QueueKind kind() const { return kind_; }
 
   /// Insert one key. Keys must be unique and carry strictly increasing seq
   /// per (t) from the owning lane's counter.
   void push(const EventKey& k);
 
   /// Bulk-insert path for window-barrier outbox batches: append keys
-  /// cheaply, then commit_batch() once. The heap arm appends unsifted and
-  /// restores order with one Floyd rebuild; the ladder's push is already
-  /// O(1), so append == push and commit is a no-op. Pop order depends only
-  /// on the keys, so both paths yield identical schedules.
-  void append(const EventKey& k);
-  void commit_batch();
+  /// unsifted, then commit_batch() once restores order with one O(n) Floyd
+  /// rebuild. Pop order depends only on the keys, so this yields the same
+  /// schedule as per-key push().
+  void append(const EventKey& k) { heap_.push_back(k); }
+  void commit_batch() { rebuild_(); }
 
   /// Earliest live key's time, or kNoEventTime when none is pending.
   /// Drops leading stale keys as a side effect.
@@ -93,45 +75,29 @@ class EventQueue {
   bool pop_min_live(EventKey& out);
 
   /// The owning lane cancelled a key (its generation was bumped). O(1):
-  /// bumps the stale count and, past the amortized threshold, purges every
-  /// stale key with one linear filter pass — no per-cancel sifting.
+  /// bumps the stale count and, past the amortized threshold, compacts
+  /// every stale key away.
   void note_cancel();
 
-  /// Total keys held, including stale keys awaiting the amortized purge
-  /// (bounded at ~2x the live count by the purge threshold).
-  std::size_t size() const {
-    return kind_ == QueueKind::kHeap ? heap_.size() : lq_size_;
-  }
+  /// Total keys held, including stale keys awaiting compaction (bounded at
+  /// ~2x the live count by the compaction threshold).
+  std::size_t size() const { return heap_.size(); }
   std::size_t stale() const { return stale_; }
 
   /// Visit every key (live and stale) in unspecified order — the owning
   /// lane's invariant checks validate slot/callback agreement through this.
   template <class F>
   void for_each_key(F&& f) const {
-    if (kind_ == QueueKind::kHeap) {
-      for (const EventKey& k : heap_) f(k);
-      return;
-    }
-    for (const EventKey& k : front_) f(k);
-    for (const Level& lvl : levels_)
-      for (const auto& bucket : lvl.buckets)
-        for (const EventKey& k : bucket) f(k);
-    for (const EventKey& k : tail_) f(k);
+    for (const EventKey& k : heap_) f(k);
   }
 
-  /// Structural validation (debug invariant layer). Heap arm: 4-ary order
-  /// and live/stale bookkeeping. Ladder arm: bucket monotonicity — every
-  /// live front key lies in the floor's bucket, no live key is stranded in
-  /// a wheel slot behind its level's cursor, occupancy bits agree with
-  /// bucket contents, and the tail minimum is a sound lower bound. Aborts
-  /// via DPAR_ASSERT on violation.
+  /// Structural validation (debug invariant layer): 4-ary heap order and
+  /// live/stale bookkeeping. Aborts via DPAR_ASSERT on violation.
   void check_invariants() const;
 
-  /// Test-only corruption hooks for the invariant death tests: break the
-  /// heap arm's ordering / strand the ladder arm's front bucket behind an
-  /// advanced floor, so check_invariants() must abort.
+  /// Test-only corruption hook for the invariant death test: breaks the
+  /// heap order, so check_invariants() must abort.
   void debug_corrupt_order_for_test();
-  void debug_strand_front_for_test();
 
  private:
   // (t, seq) packed into one 128-bit value: a single branchless compare.
@@ -147,60 +113,15 @@ class EventQueue {
   }
   bool stale_key(const EventKey& k) const { return (*gens_)[k.slot] != k.gen; }
 
-  // ---- heap arm (queue_reference.cpp; frozen differential oracle) ----
-  void heap_push_(const EventKey& k);
-  void heap_pop_min_();
-  void heap_sift_up_(std::size_t i);
-  void heap_sift_down_(std::size_t i);
-  void heap_rebuild_();
-  void heap_compact_();
-  Time heap_next_time_();
-  void heap_check_invariants_() const;
+  void pop_min_();
+  void sift_up_(std::size_t i);
+  void sift_down_(std::size_t i);
+  void rebuild_();
+  void compact_();
 
-  // ---- ladder arm (event_queue.cpp) ----
-  // Power-of-two geometry: level i spans 64 slots of 2^(10 + 6i) ns each.
-  // Level 0 buckets are ~1 us wide (64 us wheel span — one 50 us lookahead
-  // window fits); level 3 slots are ~268 ms (17.2 s total span). Beyond
-  // that, keys wait in the unsorted tail.
-  static constexpr int kLevels = 4;
-  static constexpr int kSlotBits = 6;
-  static constexpr int kSlotsPerLevel = 1 << kSlotBits;  // 64
-  static constexpr int kBucketShift = 10;                // 1024 ns buckets
-  static std::uint64_t slot_of_(Time t, int level) {
-    return static_cast<std::uint64_t>(t) >> (kBucketShift + kSlotBits * level);
-  }
-  void ladder_push_(const EventKey& k);
-  void ladder_place_(const EventKey& k);  ///< placement only; no counting
-  Time ladder_next_time_();
-  void sweep_front_bucket_();  ///< merge the floor's L0 bucket into the front
-  void ladder_purge_stale_();
-  void ladder_check_invariants_() const;
-  void front_push_(const EventKey& k);
-  void front_pop_();
-  void front_sift_down_(std::size_t i);
-  void front_rebuild_();
-
-  struct Level {
-    std::array<std::vector<EventKey>, kSlotsPerLevel> buckets;
-    std::uint64_t occupied = 0;  ///< bit i set iff buckets[i] is non-empty
-  };
-
-  QueueKind kind_;
   const std::vector<std::uint32_t>* gens_;
-  std::size_t stale_ = 0;  ///< cancelled keys still held, either arm
-
-  // Heap-arm storage: the 4-ary min-heap of keys.
+  std::size_t stale_ = 0;  ///< cancelled keys still held
   std::vector<EventKey> heap_;
-
-  // Ladder-arm storage. floor_ anchors every tier: front keys share its
-  // level-0 bucket, wheel keys sit at or past their level's cursor slot,
-  // tail keys lie beyond the wheel span (as of their insertion floor).
-  std::vector<EventKey> front_;  ///< 4-ary min-heap of the current bucket
-  std::array<Level, kLevels> levels_;
-  std::vector<EventKey> tail_;
-  Time tail_min_ = kNoEventTime;  ///< lower bound on live tail keys
-  Time floor_ = 0;
-  std::size_t lq_size_ = 0;  ///< total keys across front/levels/tail
 };
 
 }  // namespace dpar::sim

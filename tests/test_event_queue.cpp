@@ -1,16 +1,14 @@
-// Differential tests for the tiered event queue (sim/event_queue.hpp): the
-// ladder/timer-wheel arm is driven op-for-op against the frozen heap oracle
-// (queue_reference.cpp) under randomized schedule/cancel/batch/drain mixes,
-// and whole-engine runs are byte-compared across queue kinds. Under
-// DPAR_CHECK_INVARIANTS the bucket-monotonicity invariant is death-tested
-// through the queue's corruption hooks.
+// Tests for the engine's event queue (sim/event_queue.hpp): the slab 4-ary
+// heap is driven against a trivial ordered-set model of the live keys under
+// randomized schedule/cancel/batch/drain mixes, and whole-engine runs are
+// byte-compared across PDES worker counts. Under DPAR_CHECK_INVARIANTS the
+// heap-order invariant is death-tested through the queue's corruption hook.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/debug.hpp"
@@ -24,62 +22,73 @@ namespace {
 using sim::Engine;
 using sim::EventKey;
 using sim::EventQueue;
-using sim::QueueKind;
 using sim::Time;
 
-// ---- direct queue differential ------------------------------------------
+// ---- queue vs ordered-set model -------------------------------------------
 
-/// Both queue kinds over one shared slab-generation array, driven with
-/// identical keys. Every observable (next_time, pop order, size after
-/// purges) must agree exactly.
-struct QueuePair {
+/// The heap over a slab-generation array, shadowed by a std::set of the live
+/// keys in (time, seq) order. Every observable (next_time, pop order, live
+/// count) must agree with the model exactly.
+struct QueueUnderTest {
+  using ModelKey = std::tuple<Time, std::uint64_t, std::uint32_t>;
+
   std::vector<std::uint32_t> gens;
-  EventQueue heap{QueueKind::kHeap, &gens};
-  EventQueue ladder{QueueKind::kLadder, &gens};
+  EventQueue heap{&gens};
+  std::set<ModelKey> model;
   std::uint64_t next_seq = 1;
   Time now = 0;
 
-  std::uint32_t push(Time t) {
+  EventKey make_key(Time t) {
     gens.push_back(1);
     const auto slot = static_cast<std::uint32_t>(gens.size() - 1);
     const EventKey k{t, next_seq++, slot, 1};
+    model.emplace(k.t, k.seq, k.slot);
+    return k;
+  }
+
+  std::uint32_t push(Time t) {
+    const EventKey k = make_key(t);
     heap.push(k);
-    ladder.push(k);
-    return slot;
+    return k.slot;
   }
 
   std::uint32_t append(Time t) {
-    gens.push_back(1);
-    const auto slot = static_cast<std::uint32_t>(gens.size() - 1);
-    const EventKey k{t, next_seq++, slot, 1};
+    const EventKey k = make_key(t);
     heap.append(k);
-    ladder.append(k);
-    return slot;
+    return k.slot;
   }
 
-  void commit() {
-    heap.commit_batch();
-    ladder.commit_batch();
-  }
+  void commit() { heap.commit_batch(); }
 
+  /// Cancel the pending key in `slot`: its generation moves on, exactly as
+  /// Engine::cancel frees the slot.
   void cancel(std::uint32_t slot) {
+    const auto it = std::find_if(model.begin(), model.end(), [slot](const ModelKey& m) {
+      return std::get<2>(m) == slot;
+    });
+    ASSERT_NE(it, model.end());
+    model.erase(it);
     ++gens[slot];
     heap.note_cancel();
-    ladder.note_cancel();
   }
 
-  /// Pop one live key from both; returns false when both are drained.
-  /// Asserts the popped keys match and marks the slot fired.
+  Time model_next_time() const {
+    return model.empty() ? sim::kNoEventTime : std::get<0>(*model.begin());
+  }
+
+  /// Pop one live key; returns false once drained. Asserts the popped key
+  /// is the model's minimum and marks the slot fired.
   bool pop_and_compare() {
-    EXPECT_EQ(heap.next_time(), ladder.next_time());
-    EventKey h{}, l{};
-    const bool hh = heap.pop_min_live(h);
-    const bool ll = ladder.pop_min_live(l);
-    EXPECT_EQ(hh, ll);
-    if (!hh || !ll) return false;
-    EXPECT_EQ(h.t, l.t);
-    EXPECT_EQ(h.seq, l.seq);
-    EXPECT_EQ(h.slot, l.slot);
+    EXPECT_EQ(heap.next_time(), model_next_time());
+    EventKey h{};
+    const bool popped = heap.pop_min_live(h);
+    EXPECT_EQ(popped, !model.empty());
+    if (!popped || model.empty()) return false;
+    const ModelKey expect = *model.begin();
+    model.erase(model.begin());
+    EXPECT_EQ(h.t, std::get<0>(expect));
+    EXPECT_EQ(h.seq, std::get<1>(expect));
+    EXPECT_EQ(h.slot, std::get<2>(expect));
     EXPECT_GE(h.t, now);
     now = h.t;
     ++gens[h.slot];  // fired: the slot's generation moves on
@@ -89,38 +98,39 @@ struct QueuePair {
 
   std::uint32_t last_slot = 0;  ///< slot of the most recent pop_and_compare
 
-  void check_both() const {
+  void check() const {
     heap.check_invariants();
-    ladder.check_invariants();
+    // size() includes stale keys awaiting compaction; the live count must
+    // match the model exactly.
+    EXPECT_EQ(heap.size() - heap.stale(), model.size());
   }
 };
 
-/// One randomized mix: pushes spanning front/wheel/tail distances (including
-/// the far-future tail and post-prefetch rewinds), cancels of pending keys,
-/// outbox-style append batches, interleaved peeks and pops.
+/// One randomized mix: pushes spanning ns to (optionally) tens of seconds
+/// ahead, cancels of pending keys, outbox-style append batches, interleaved
+/// peeks and pops.
 void run_differential_mix(std::uint64_t seed, int rounds, bool far_future) {
   sim::Rng rng(seed);
-  QueuePair q;
+  QueueUnderTest q;
   std::vector<std::uint32_t> pending;
 
   const auto random_delta = [&]() -> Time {
     const double pick = rng.uniform(100) / 100.0;
-    if (pick < 0.40) return static_cast<Time>(rng.uniform(1 << 12));     // front/L0
-    if (pick < 0.70) return static_cast<Time>(rng.uniform(1 << 17));     // L0..L1
-    if (pick < 0.90) return static_cast<Time>(rng.uniform(1 << 25));     // mid wheel
-    if (!far_future) return static_cast<Time>(rng.uniform(1 << 28));     // L3
-    return static_cast<Time>(rng.uniform(std::uint64_t{1} << 36));       // tail
+    if (pick < 0.40) return static_cast<Time>(rng.uniform(1 << 12));
+    if (pick < 0.70) return static_cast<Time>(rng.uniform(1 << 17));
+    if (pick < 0.90) return static_cast<Time>(rng.uniform(1 << 25));
+    if (!far_future) return static_cast<Time>(rng.uniform(1 << 28));
+    return static_cast<Time>(rng.uniform(std::uint64_t{1} << 36));
   };
 
   for (int round = 0; round < rounds; ++round) {
-    // Schedule a burst. next_time() in between forces ladder prefetch, so
-    // later same-window pushes land behind the advanced floor (the rewind
-    // path a cross-lane barrier post exercises in the engine).
+    // Schedule a burst, peeking in between (next_time() drops stale keys
+    // off the top as a side effect).
     const int burst = 1 + static_cast<int>(rng.uniform(24));
     for (int i = 0; i < burst; ++i) {
       pending.push_back(q.push(q.now + random_delta()));
       if (rng.chance(0.2)) {
-        EXPECT_EQ(q.heap.next_time(), q.ladder.next_time());
+        EXPECT_EQ(q.heap.next_time(), q.model_next_time());
       }
     }
     // Outbox-style batch: appended unsorted, committed once.
@@ -147,18 +157,12 @@ void run_differential_mix(std::uint64_t seed, int rounds, bool far_future) {
       pending.erase(std::remove(pending.begin(), pending.end(), q.last_slot),
                     pending.end());
     }
-    q.check_both();
-    // size() includes stale keys and the two arms shed them at different
-    // moments (heap: lazily off the top; ladder: bulk purge on refill), so
-    // raw sizes are not comparable — live counts must agree exactly.
-    EXPECT_EQ(q.heap.size() - q.heap.stale(),
-              q.ladder.size() - q.ladder.stale());
+    q.check();
   }
   while (q.pop_and_compare()) {
   }
   EXPECT_EQ(q.heap.size(), 0u);
-  EXPECT_EQ(q.ladder.size(), 0u);
-  q.check_both();
+  q.check();
 }
 
 TEST(EventQueueDifferential, RandomMixNearFuture) {
@@ -172,9 +176,9 @@ TEST(EventQueueDifferential, RandomMixWithFarFutureTail) {
 }
 
 TEST(EventQueueDifferential, CancelStormLeavesBoundedQueue) {
-  QueuePair q;
-  // Schedule/cancel churn with nothing ever firing: the amortized purge must
-  // keep both arms' key counts bounded by ~2x live, so a million cancelled
+  QueueUnderTest q;
+  // Schedule/cancel churn with nothing ever firing: the amortized compaction
+  // must keep the key count bounded by ~2x live, so a million cancelled
   // timers cannot accumulate.
   std::vector<std::uint32_t> live;
   sim::Rng rng(99);
@@ -187,20 +191,18 @@ TEST(EventQueueDifferential, CancelStormLeavesBoundedQueue) {
     }
   }
   EXPECT_LE(q.heap.size(), 2 * live.size() + 128);
-  EXPECT_LE(q.ladder.size(), 2 * live.size() + 128);
-  q.check_both();
+  q.check();
   while (q.pop_and_compare()) {
   }
 }
 
-// ---- engine-level differential ------------------------------------------
+// ---- engine runs across worker counts -------------------------------------
 
 /// Deterministic multi-lane scenario recording every firing as
 /// (lane, time, tag); cross-lane posts ride the outbox at the lookahead
 /// horizon, timers are cancelled mid-flight, at_all batches fire in order.
-std::vector<std::uint64_t> run_engine_scenario(QueueKind kind, unsigned workers) {
+std::vector<std::uint64_t> run_engine_scenario(unsigned workers) {
   Engine eng;
-  eng.set_queue_kind(kind);
   const sim::LaneId l1 = eng.add_lane();
   const sim::LaneId l2 = eng.add_lane();
   eng.set_lookahead(1000);
@@ -228,7 +230,7 @@ std::vector<std::uint64_t> run_engine_scenario(QueueKind kind, unsigned workers)
       record(lane, t, tag);
       if (tag % 5 == 0) {
         // Cross-lane ping past the lookahead horizon; lands via the outbox
-        // (heap bulk rebuild vs ladder bucket filing) when inside a window.
+        // when inside a window.
         const sim::LaneId to = lane == l1 ? l2 : l1;
         eng.after_in(to, 2000 + tag, [&, to, tag] { record(to, 0, 10000 + tag); });
       }
@@ -252,60 +254,20 @@ std::vector<std::uint64_t> run_engine_scenario(QueueKind kind, unsigned workers)
   return flat;
 }
 
-TEST(EventQueueDifferential, EngineRunsAreIdenticalAcrossKindsAndWorkers) {
-  const std::vector<std::uint64_t> oracle =
-      run_engine_scenario(QueueKind::kHeap, 1);
-  ASSERT_FALSE(oracle.empty());
-  EXPECT_EQ(run_engine_scenario(QueueKind::kLadder, 1), oracle);
-  EXPECT_EQ(run_engine_scenario(QueueKind::kHeap, 4), oracle);
-  EXPECT_EQ(run_engine_scenario(QueueKind::kLadder, 4), oracle);
-}
-
-// ---- selection plumbing --------------------------------------------------
-
-TEST(EventQueueConfig, EnvSelectionParsesAndRejectsGarbage) {
-  ::unsetenv("DPAR_ENGINE_QUEUE");
-  EXPECT_EQ(sim::queue_kind_from_env(), QueueKind::kLadder);
-  ::setenv("DPAR_ENGINE_QUEUE", "", 1);
-  EXPECT_EQ(sim::queue_kind_from_env(), QueueKind::kLadder);
-  ::setenv("DPAR_ENGINE_QUEUE", "heap", 1);
-  EXPECT_EQ(sim::queue_kind_from_env(), QueueKind::kHeap);
-  ::setenv("DPAR_ENGINE_QUEUE", "ladder", 1);
-  EXPECT_EQ(sim::queue_kind_from_env(), QueueKind::kLadder);
-  ::setenv("DPAR_ENGINE_QUEUE", "splay", 1);
-  EXPECT_THROW(sim::queue_kind_from_env(), std::invalid_argument);
-  ::unsetenv("DPAR_ENGINE_QUEUE");
-}
-
-TEST(EventQueueConfig, SwitchRefusedOnceEventsExist) {
-  Engine eng;
-  eng.set_queue_kind(QueueKind::kHeap);  // fine while empty
-  EXPECT_EQ(eng.queue_kind(), QueueKind::kHeap);
-  eng.after(10, [] {});
-  EXPECT_THROW(eng.set_queue_kind(QueueKind::kLadder), std::logic_error);
-  eng.run();
-  // Even drained, a lane that fired keeps its kind: reproducibility over
-  // convenience.
-  EXPECT_THROW(eng.set_queue_kind(QueueKind::kLadder), std::logic_error);
+TEST(EventQueueDifferential, EngineRunsAreIdenticalAcrossWorkers) {
+  const std::vector<std::uint64_t> serial = run_engine_scenario(1);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(run_engine_scenario(4), serial);
 }
 
 // ---- invariant death tests ----------------------------------------------
 
 #if DPAR_CHECK_INVARIANTS
 
-TEST(EventQueueDeath, LadderCatchesStrandedFrontBucket) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::vector<std::uint32_t> gens{0, 1};
-  EventQueue q(QueueKind::kLadder, &gens);
-  q.push(EventKey{100, 1, 1, 1});  // lands in the floor's front bucket
-  q.debug_strand_front_for_test();  // floor jumps a whole wheel span ahead
-  EXPECT_DEATH(q.check_invariants(), "outside the floor bucket");
-}
-
 TEST(EventQueueDeath, HeapCatchesBrokenOrder) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::vector<std::uint32_t> gens{0, 1, 1, 1};
-  EventQueue q(QueueKind::kHeap, &gens);
+  EventQueue q(&gens);
   q.push(EventKey{100, 1, 1, 1});
   q.push(EventKey{200, 2, 2, 1});
   q.push(EventKey{300, 3, 3, 1});

@@ -394,7 +394,7 @@ TEST(ReplicationDurability, FailStopCrashBlocksRepairButLosesNoChunkAtRf2) {
 
 #if DPAR_CHECK_INVARIANTS
 TEST(ReplicationDeath, OutOfReplicaRoleTripsAssert) {
-  // The failover ladder must stop at rf-1: asking the map for a role past
+  // The failover sequence must stop at rf-1: asking the map for a role past
   // the last replica is the bug the invariant layer exists to catch.
   const replica::ReplicaMap map = make_map(4, 2, replica::Placement::kRotational);
   EXPECT_DEATH(map.server_of(0, 2), "replica role out of range");

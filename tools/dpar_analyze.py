@@ -95,14 +95,13 @@ ALLOW_ALIASES = {
                           "wall-clock", "raw-random"),
 }
 
-# The engine and its queues are the mechanism the contract protects, not a
+# The engine and its queue are the mechanism the contract protects, not a
 # client of it; lane_annotations.hpp is pure macros.
 EXEMPT_FILES = {
     "src/sim/engine.hpp",
     "src/sim/engine.cpp",
     "src/sim/event_queue.hpp",
     "src/sim/event_queue.cpp",
-    "src/sim/queue_reference.cpp",
     "src/sim/lane_annotations.hpp",
 }
 

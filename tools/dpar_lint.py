@@ -36,13 +36,12 @@ contract"):
                   at()/after() that provably stays in the current lane takes
                   the allow() escape with a justification.
   event-queue     std::priority_queue / make_heap / push_heap / pop_heap in
-                  src/. Hand-rolled timer queues bypass the engine's tiered
-                  event queue (sim::EventQueue): cancels degrade to O(n) and
-                  the (time, seq) total order the byte-identical-output
-                  contract rests on is easy to get subtly wrong. Schedule
-                  through sim::Engine; the engine's own queue files are
-                  exempt. (bench/ is out of scope — the frozen LegacyEngine
-                  baseline in bench_micro keeps its priority_queue.)
+                  src/. Hand-rolled timer queues bypass the engine's event
+                  queue (sim::EventQueue): cancels degrade to O(n) and the
+                  (time, seq) total order the byte-identical-output contract
+                  rests on is easy to get subtly wrong. Schedule through
+                  sim::Engine; the engine's own queue files are exempt.
+                  (bench/ and tests/ are out of scope.)
 
   stale-allow     A `dpar-lint: allow(<rule>)` comment that suppresses no
                   finding. Allows rot: the offending line gets refactored
@@ -99,13 +98,11 @@ RULES = {
 # Files exempt from a rule (relative to the repo root, forward slashes).
 RULE_EXEMPT_FILES = {
     "raw-random": {"src/sim/rng.hpp"},
-    # The engine's own queue layer is the one sanctioned home for heap
-    # primitives: the tiered queue's front heap and the frozen differential
-    # oracle.
+    # The engine's own event queue is the one sanctioned home for heap
+    # primitives.
     "event-queue": {
         "src/sim/event_queue.hpp",
         "src/sim/event_queue.cpp",
-        "src/sim/queue_reference.cpp",
     },
 }
 
@@ -129,9 +126,8 @@ RULE_ONLY_FILES = {
         "tools/lint_fixtures/bad.cpp",
         "tools/lint_fixtures/good.cpp",
     },
-    # event-queue only polices the simulator tree: bench/ keeps its frozen
-    # LegacyEngine priority_queue baseline, and tests may build ad-hoc heaps
-    # as oracles.
+    # event-queue only polices the simulator tree: benches and tests may
+    # build ad-hoc heaps as baselines or oracles.
     "event-queue": {
         "src/",
         "tools/lint_fixtures/bad.cpp",
