@@ -10,11 +10,7 @@
 namespace dpar::dualpar {
 
 Emc::Emc(sim::Engine& eng, Params params, std::vector<pfs::DataServer*> servers)
-    : eng_(eng), params_(params), servers_(std::move(servers)), obs_shards_(1) {}
-
-void Emc::set_lane_count(std::uint32_t lanes) {
-  if (lanes > obs_shards_.size()) obs_shards_.resize(lanes);
-}
+    : eng_(eng), params_(params), servers_(std::move(servers)) {}
 
 Emc::JobEntry* Emc::find_job(std::uint32_t job_id) {
   if (job_id >= slot_of_.size() || slot_of_[job_id] == 0) return nullptr;
@@ -150,42 +146,29 @@ bool Emc::latched_off(std::uint32_t job_id) const {
 
 void Emc::observe(std::uint32_t job_id, pfs::FileId file,
                   const std::vector<pfs::Segment>& segments, sim::Time) {
-  // Called from the issuing rank's lane, possibly inside a parallel window:
-  // only the lane's own shard is touched here. The job table is folded into
-  // at tick time, on the exclusive lane.
-  const sim::LaneId l = eng_.current_lane();
-  auto& shard = obs_shards_[l < obs_shards_.size() ? l : 0];
-  shard.push_back(PendingObs{job_id, file, segments});
+  // Buffered here; the job table is folded into at tick time.
+  pending_obs_.push_back(PendingObs{job_id, file, segments});
 }
 
 void Emc::flush_observations_() {
-  // Lane order is fixed, and within a lane the buffer order is that lane's
-  // deterministic event order — but ReqDist only consumes offset multisets,
-  // so any shard interleaving would produce the same tick results anyway.
-  for (auto& shard : obs_shards_) {
-    for (PendingObs& o : shard) {
-      JobEntry* e = find_job(o.job_id);
-      if (e == nullptr) continue;
-      auto& reqs = e->slot_requests;
-      auto it = std::lower_bound(
-          reqs.begin(), reqs.end(), o.file,
-          [](const auto& p, pfs::FileId f) { return p.first < f; });
-      if (it == reqs.end() || it->first != o.file)
-        it = reqs.insert(it, {o.file, {}});
-      it->second.insert(it->second.end(), o.segments.begin(), o.segments.end());
-    }
-    shard.clear();
+  for (PendingObs& o : pending_obs_) {
+    JobEntry* e = find_job(o.job_id);
+    if (e == nullptr) continue;
+    auto& reqs = e->slot_requests;
+    auto it = std::lower_bound(
+        reqs.begin(), reqs.end(), o.file,
+        [](const auto& p, pfs::FileId f) { return p.first < f; });
+    if (it == reqs.end() || it->first != o.file)
+      it = reqs.insert(it, {o.file, {}});
+    it->second.insert(it->second.end(), o.segments.begin(), o.segments.end());
   }
+  pending_obs_.clear();
 }
 
 void Emc::start() {
   if (ticking_) return;
   ticking_ = true;
-  // The EMC tick reads every server's trace and every job's progress, so on
-  // a partitioned engine it must run on the exclusive lane: all lanes are
-  // quiescent at the tick's timestamp. (exclusive_lane() is 0 — plain
-  // lane-0 scheduling — when the engine is unpartitioned.)
-  eng_.after_in(eng_.exclusive_lane(), params_.emc_slot, [this] {
+  eng_.after(params_.emc_slot, [this] {
     ticking_ = false;
     tick();
     // Keep evaluating while any registered job is live.

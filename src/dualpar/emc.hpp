@@ -21,7 +21,6 @@
 #include "mpiio/env.hpp"
 #include "pfs/server.hpp"
 #include "sim/engine.hpp"
-#include "sim/lane_annotations.hpp"
 #include "sim/stats.hpp"
 
 namespace dpar::dualpar {
@@ -47,9 +46,8 @@ class Emc : public mpiio::RequestObserver {
   void report_io_error();
   void report_io_ok();
   /// Fault-injector listener: any data server down forces normal mode for
-  /// every job until it restarts. Runs on the exclusive lane (crash and
-  /// restart events are pinned there).
-  DPAR_EXCLUSIVE_LANE void note_server_state(std::uint32_t server, bool down);
+  /// every job until it restarts.
+  void note_server_state(std::uint32_t server, bool down);
   /// True while EMC is forcing vanilla execution because of faults.
   bool degraded() const { return degraded_; }
   double error_ewma() const { return error_ewma_; }
@@ -57,22 +55,16 @@ class Emc : public mpiio::RequestObserver {
   void set_fault_injector(fault::FaultInjector* inj) { injector_ = inj; }
 
   /// ADIO request observation (client side, feeds ReqDist). Hot path: the
-  /// observation is buffered in the calling lane's shard; tick() folds the
-  /// shards in lane order with every lane quiescent. ReqDist is computed
-  /// over offset multisets (mean_adjacent_distance sorts), so the fold
-  /// order never changes the result.
-  DPAR_CROSS_LANE_API void observe(std::uint32_t job_id, pfs::FileId file,
+  /// observation is buffered; tick() folds the buffer into the job table.
+  /// ReqDist is computed over offset multisets (mean_adjacent_distance
+  /// sorts), so the fold order never changes the result.
+  void observe(std::uint32_t job_id, pfs::FileId file,
                const std::vector<pfs::Segment>& segments, sim::Time now) override;
-
-  /// Size the per-lane observation shards for a partitioned engine. Called
-  /// at testbed finalize; unpartitioned engines keep the single shard.
-  void set_lane_count(std::uint32_t lanes);
 
   /// Begin periodic evaluation (re-arms itself while any job is live).
   void start();
-  /// One evaluation step (also callable directly from tests, which drive
-  /// an unpartitioned engine — every lane quiescent either way).
-  DPAR_EXCLUSIVE_LANE void tick();
+  /// One evaluation step (also callable directly from tests).
+  void tick();
 
   /// Debug invariant layer: verifies the id -> slot side table agrees with
   /// the flat, id-sorted job vector. Aborts via DPAR_ASSERT on violation.
@@ -112,9 +104,9 @@ class Emc : public mpiio::RequestObserver {
     sim::Time last_switch = 0;
   };
 
-  /// One buffered observe() call, parked in its lane's shard until the next
-  /// tick. The segment vector is copied at observe time — the caller's
-  /// vector is stack-transient.
+  /// One buffered observe() call, parked until the next tick. The segment
+  /// vector is copied at observe time — the caller's vector is
+  /// stack-transient.
   struct PendingObs {
     std::uint32_t job_id;
     pfs::FileId file;
@@ -122,7 +114,7 @@ class Emc : public mpiio::RequestObserver {
   };
 
   void update_degraded();
-  DPAR_EXCLUSIVE_LANE void flush_observations_();
+  void flush_observations_();
   JobEntry* find_job(std::uint32_t job_id);
   const JobEntry* find_job(std::uint32_t job_id) const;
 
@@ -135,20 +127,18 @@ class Emc : public mpiio::RequestObserver {
   // side table for O(1) lookup on the per-op paths (observe, mode).
   std::vector<JobEntry> entries_;
   std::vector<std::uint32_t> slot_of_;  ///< job id -> entries_ index + 1; 0 = absent
-  /// One observation buffer per lane: observe() only ever touches the
-  /// calling lane's shard, so no routing is needed on the per-op hot path.
-  DPAR_LANE_SAFE std::vector<std::vector<PendingObs>> obs_shards_;
+  std::vector<PendingObs> pending_obs_;  ///< observed since the last tick
   fault::FaultInjector* injector_ = nullptr;
-  DPAR_EXCLUSIVE_LANE std::uint32_t servers_down_ = 0;
+  std::uint32_t servers_down_ = 0;
   double error_ewma_ = 0.0;
   bool degraded_ = false;
   bool ticking_ = false;
-  // Fold state: written only by tick() with every lane quiescent.
-  DPAR_EXCLUSIVE_LANE double last_seek_ = 0.0;
-  DPAR_EXCLUSIVE_LANE double last_req_ = 0.0;
-  DPAR_EXCLUSIVE_LANE double last_ratio_ = 0.0;
-  DPAR_EXCLUSIVE_LANE std::uint64_t switches_ = 0;
-  DPAR_EXCLUSIVE_LANE sim::TimeSeries seek_series_;
+  // Fold state: written only by tick().
+  double last_seek_ = 0.0;
+  double last_req_ = 0.0;
+  double last_ratio_ = 0.0;
+  std::uint64_t switches_ = 0;
+  sim::TimeSeries seek_series_;
 };
 
 }  // namespace dpar::dualpar

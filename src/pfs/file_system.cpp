@@ -523,7 +523,7 @@ void start_rep_attempt(RepOp* op, std::size_t idx) {
                        op->mgr->config().fanout == replica::WriteFanout::kChain;
   if (chained) {
     // Chain hop: route through the previous role's server for the shard's
-    // first chunk. The relay runs in the forwarder's lane — its NIC, its TX
+    // first chunk. The relay uses the forwarder's resources — its NIC, its TX
     // FIFO — and a crashed forwarder drops the hop (the client times out and
     // retransmits through it again).
     const std::uint64_t first_chunk =

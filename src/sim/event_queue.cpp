@@ -70,8 +70,8 @@ void EventQueue::sift_down_(std::size_t i) {
 }
 
 /// Restore the heap property bottom-up (Floyd): only internal nodes sift.
-/// O(n) regardless of how disordered the tail is, which makes bulk key
-/// appends (outbox batches) cheaper than per-key sift-up at scale.
+/// O(n) regardless of how disordered the keys are, so a compaction costs
+/// one linear pass.
 void EventQueue::rebuild_() {
   if (heap_.size() > 1)
     for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;)

@@ -1,16 +1,15 @@
 // The engine's event queue: a slab 4-ary min-heap of (time, seq) keys.
 //
-// Every lane owns one EventQueue holding (time, seq, slot, gen) keys; the
-// callbacks themselves live in the lane's slab. The 4-ary layout is
+// The engine owns one EventQueue holding (time, seq, slot, gen) keys; the
+// callbacks themselves live in the engine's slab. The 4-ary layout is
 // shallower than a binary heap and keeps a node's four children adjacent in
-// memory. push/pop are O(log n). Cancel is O(1): the lane bumps the slot's
+// memory. push/pop are O(log n). Cancel is O(1): the engine bumps the slot's
 // generation, the key goes stale in place, pops skip it, and an amortized
 // compaction (filter + Floyd rebuild) runs once stale keys reach half the
 // heap, so cancel-heavy timer traffic stays bounded in memory.
 //
 // Live keys pop in exactly the packed 128-bit (time, seq) total order, so
-// every simulation is deterministic and byte-identical at any
-// DPAR_PDES_WORKERS count.
+// every simulation is deterministic.
 //
 // This heap is the only queue. A tiered timer-wheel queue used to be the
 // default, with this heap kept beside it as an oracle; it was removed
@@ -33,7 +32,7 @@ constexpr Time kNoEventTime = std::numeric_limits<Time>::max();
 
 /// One scheduled event: fire time, global-order tie-breaker, and the
 /// generation-tagged slab slot holding its callback. The queue never looks
-/// at the callback — staleness is decided entirely by the owning lane's
+/// at the callback — staleness is decided entirely by the owning engine's
 /// generation array.
 struct EventKey {
   Time t;
@@ -48,7 +47,7 @@ inline QueueKind queue_kind_from_env() { return QueueKind::kHeap; }
 
 class EventQueue {
  public:
-  /// `gens` is the owning lane's slot-generation array: key `k` is stale
+  /// `gens` is the owning engine's slot-generation array: key `k` is stale
   /// (cancelled or superseded) exactly when (*gens)[k.slot] != k.gen. The
   /// pointer must outlive the queue; the vector may grow/reallocate freely.
   explicit EventQueue(const std::vector<std::uint32_t>* gens) : gens_(gens) {}
@@ -57,15 +56,8 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Insert one key. Keys must be unique and carry strictly increasing seq
-  /// per (t) from the owning lane's counter.
+  /// per (t) from the owning engine's counter.
   void push(const EventKey& k);
-
-  /// Bulk-insert path for window-barrier outbox batches: append keys
-  /// unsifted, then commit_batch() once restores order with one O(n) Floyd
-  /// rebuild. Pop order depends only on the keys, so this yields the same
-  /// schedule as per-key push().
-  void append(const EventKey& k) { heap_.push_back(k); }
-  void commit_batch() { rebuild_(); }
 
   /// Earliest live key's time, or kNoEventTime when none is pending.
   /// Drops leading stale keys as a side effect.
@@ -74,7 +66,7 @@ class EventQueue {
   /// Pop the earliest live key into `out`. False when no live key remains.
   bool pop_min_live(EventKey& out);
 
-  /// The owning lane cancelled a key (its generation was bumped). O(1):
+  /// The owning engine cancelled a key (its generation was bumped). O(1):
   /// bumps the stale count and, past the amortized threshold, compacts
   /// every stale key away.
   void note_cancel();
@@ -85,7 +77,7 @@ class EventQueue {
   std::size_t stale() const { return stale_; }
 
   /// Visit every key (live and stale) in unspecified order — the owning
-  /// lane's invariant checks validate slot/callback agreement through this.
+  /// engine's invariant checks validate slot/callback agreement through this.
   template <class F>
   void for_each_key(F&& f) const {
     for (const EventKey& k : heap_) f(k);

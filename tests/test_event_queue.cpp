@@ -1,25 +1,21 @@
 // Tests for the engine's event queue (sim/event_queue.hpp): the slab 4-ary
 // heap is driven against a trivial ordered-set model of the live keys under
-// randomized schedule/cancel/batch/drain mixes, and whole-engine runs are
-// byte-compared across PDES worker counts. Under DPAR_CHECK_INVARIANTS the
+// randomized schedule/cancel/drain mixes. Under DPAR_CHECK_INVARIANTS the
 // heap-order invariant is death-tested through the queue's corruption hook.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <set>
 #include <tuple>
 #include <vector>
 
 #include "sim/debug.hpp"
-#include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 
 namespace dpar {
 namespace {
 
-using sim::Engine;
 using sim::EventKey;
 using sim::EventQueue;
 using sim::Time;
@@ -51,14 +47,6 @@ struct QueueUnderTest {
     heap.push(k);
     return k.slot;
   }
-
-  std::uint32_t append(Time t) {
-    const EventKey k = make_key(t);
-    heap.append(k);
-    return k.slot;
-  }
-
-  void commit() { heap.commit_batch(); }
 
   /// Cancel the pending key in `slot`: its generation moves on, exactly as
   /// Engine::cancel frees the slot.
@@ -107,8 +95,7 @@ struct QueueUnderTest {
 };
 
 /// One randomized mix: pushes spanning ns to (optionally) tens of seconds
-/// ahead, cancels of pending keys, outbox-style append batches, interleaved
-/// peeks and pops.
+/// ahead, cancels of pending keys, interleaved peeks and pops.
 void run_differential_mix(std::uint64_t seed, int rounds, bool far_future) {
   sim::Rng rng(seed);
   QueueUnderTest q;
@@ -132,13 +119,6 @@ void run_differential_mix(std::uint64_t seed, int rounds, bool far_future) {
       if (rng.chance(0.2)) {
         EXPECT_EQ(q.heap.next_time(), q.model_next_time());
       }
-    }
-    // Outbox-style batch: appended unsorted, committed once.
-    if (rng.chance(0.5)) {
-      const int batch = 1 + static_cast<int>(rng.uniform(40));
-      for (int i = 0; i < batch; ++i)
-        pending.push_back(q.append(q.now + random_delta()));
-      q.commit();
     }
     // Cancel-heavy churn: kill a random slice of whatever is pending.
     const int kills = static_cast<int>(rng.uniform(pending.size() + 1));
@@ -194,70 +174,6 @@ TEST(EventQueueDifferential, CancelStormLeavesBoundedQueue) {
   q.check();
   while (q.pop_and_compare()) {
   }
-}
-
-// ---- engine runs across worker counts -------------------------------------
-
-/// Deterministic multi-lane scenario recording every firing as
-/// (lane, time, tag); cross-lane posts ride the outbox at the lookahead
-/// horizon, timers are cancelled mid-flight, at_all batches fire in order.
-std::vector<std::uint64_t> run_engine_scenario(unsigned workers) {
-  Engine eng;
-  const sim::LaneId l1 = eng.add_lane();
-  const sim::LaneId l2 = eng.add_lane();
-  eng.set_lookahead(1000);
-  eng.set_pdes_workers(workers);
-
-  // One trace per lane: inside a parallel window each lane is touched by
-  // exactly one worker, so per-lane appends never race, and each lane's
-  // event order is deterministic at every worker count (the global
-  // interleaving across lanes is not — which is why the traces concatenate
-  // lane-by-lane below).
-  std::array<std::vector<std::uint64_t>, 3> traces;
-  auto record = [&traces, &eng](sim::LaneId lane, Time t, std::uint32_t tag) {
-    traces[eng.current_lane()].push_back(
-        (std::uint64_t{lane} << 48) | (std::uint64_t{tag} << 32) |
-        static_cast<std::uint64_t>(t) % (std::uint64_t{1} << 32));
-  };
-
-  sim::Rng rng(7);
-  std::vector<sim::EventId> cancellable;
-  for (int i = 0; i < 200; ++i) {
-    const Time t = 1 + static_cast<Time>(rng.uniform(1 << 20));
-    const sim::LaneId lane = i % 3 == 0 ? 0 : (i % 3 == 1 ? l1 : l2);
-    const auto tag = static_cast<std::uint32_t>(i);
-    cancellable.push_back(eng.at_in(lane, t, [&, lane, t, tag] {
-      record(lane, t, tag);
-      if (tag % 5 == 0) {
-        // Cross-lane ping past the lookahead horizon; lands via the outbox
-        // when inside a window.
-        const sim::LaneId to = lane == l1 ? l2 : l1;
-        eng.after_in(to, 2000 + tag, [&, to, tag] { record(to, 0, 10000 + tag); });
-      }
-    }));
-  }
-  // Deterministic cancel slice: every 7th scheduled timer dies before firing.
-  for (std::size_t i = 0; i < cancellable.size(); i += 7) eng.cancel(cancellable[i]);
-  // Batched release: one event, callbacks in order.
-  std::vector<Engine::Callback> batch;
-  for (int i = 0; i < 4; ++i)
-    batch.push_back([&record, i] { record(0, 999, 20000 + i); });
-  eng.at_all(Time{1 << 21}, std::move(batch));
-
-  eng.run_until(Time{1 << 19});  // mid-run cut exercises bounded windows
-  eng.check_invariants();
-  eng.run();
-  eng.check_invariants();
-  EXPECT_TRUE(eng.empty());
-  std::vector<std::uint64_t> flat;
-  for (const auto& t : traces) flat.insert(flat.end(), t.begin(), t.end());
-  return flat;
-}
-
-TEST(EventQueueDifferential, EngineRunsAreIdenticalAcrossWorkers) {
-  const std::vector<std::uint64_t> serial = run_engine_scenario(1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(run_engine_scenario(4), serial);
 }
 
 // ---- invariant death tests ----------------------------------------------

@@ -1,17 +1,19 @@
 // N-way chunk replication: placement maps, replicated write fan-out,
 // degraded reads with transparent failover, background re-replication, and
 // the durability ledger. The byte-identity contract extends to replicated
-// runs: a (seed, plan, rf, placement) tuple must produce the same output at
-// every DPAR_PDES_WORKERS value, workers=0 (serial engine) as reference.
+// runs: a (seed, plan, rf, placement) tuple must produce the same output
+// alone or on an ExperimentPool thread beside other runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fault/plan.hpp"
+#include "harness/experiment_pool.hpp"
 #include "harness/testbed.hpp"
 #include "metrics/fault_report.hpp"
 #include "metrics/replica_report.hpp"
@@ -130,10 +132,10 @@ TEST(ReplicationConfig, ValidateRejectsMalformedConfigs) {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated runs: determinism across worker counts
+// Replicated runs: determinism on and off the experiment pool
 // ---------------------------------------------------------------------------
 
-/// Same shape as test_pdes_faults' random_plan: probabilistic faults, one
+/// Same shape as test_fault_pool's random_plan: probabilistic faults, one
 /// transient partition, one crash/restart window, all drawn from `seed`.
 fault::FaultPlan random_plan(std::uint64_t seed, std::uint32_t servers,
                              std::uint32_t compute_nodes) {
@@ -162,7 +164,7 @@ fault::FaultPlan random_plan(std::uint64_t seed, std::uint32_t servers,
 
 /// Everything a replicated run observably produces, flattened: completion,
 /// bytes, events, latency tails, the fault ledger AND the durability report.
-std::string rep_signature(std::uint64_t seed, int workers, std::uint32_t rf,
+std::string rep_signature(std::uint64_t seed, std::uint32_t rf,
                           replica::Placement placement,
                           replica::WriteFanout fanout) {
   harness::TestbedConfig cfg;
@@ -170,7 +172,6 @@ std::string rep_signature(std::uint64_t seed, int workers, std::uint32_t rf,
   cfg.compute_nodes = 3;
   cfg.cores_per_node = 4;
   cfg.keep_traces = false;
-  cfg.pdes_workers = workers;
   cfg.replica.replication_factor = rf;
   cfg.replica.placement = placement;
   cfg.replica.fanout = fanout;
@@ -205,7 +206,10 @@ std::string rep_signature(std::uint64_t seed, int workers, std::uint32_t rf,
   return sig;
 }
 
-TEST(ReplicationDeterminism, ByteIdenticalAcrossWorkerCounts) {
+TEST(ReplicationDeterminism, ByteIdenticalThroughExperimentPool) {
+  // Each case runs once inline and once as a concurrent task of a 4-thread
+  // ExperimentPool: a replicated, faulted run must not depend on which
+  // thread runs it or what else runs beside it.
   struct Case {
     std::uint64_t seed;
     std::uint32_t rf;
@@ -217,23 +221,30 @@ TEST(ReplicationDeterminism, ByteIdenticalAcrossWorkerCounts) {
       {0xc0de, 3, replica::Placement::kRackAware, replica::WriteFanout::kStar},
       {0xbeef, 3, replica::Placement::kNodeLocal, replica::WriteFanout::kChain},
   };
-  for (const Case& c : cases) {
-    const std::string w0 =
-        rep_signature(c.seed, 0, c.rf, c.placement, c.fanout);
-    for (int workers : {1, 4}) {
-      const std::string w =
-          rep_signature(c.seed, workers, c.rf, c.placement, c.fanout);
-      EXPECT_EQ(w0, w) << "seed " << std::hex << c.seed << std::dec << " rf "
-                       << c.rf << " workers=" << workers;
-    }
-  }
+  constexpr std::size_t kCases = std::size(cases);
+  std::string inline_sigs[kCases];
+  for (std::size_t i = 0; i < kCases; ++i)
+    inline_sigs[i] =
+        rep_signature(cases[i].seed, cases[i].rf, cases[i].placement, cases[i].fanout);
+  std::string pooled[kCases];
+  bench::ExperimentPool pool(4);
+  for (std::size_t i = 0; i < kCases; ++i)
+    pool.submit("case " + std::to_string(i), [&pooled, &cases, i] {
+      const Case& c = cases[i];
+      pooled[i] = rep_signature(c.seed, c.rf, c.placement, c.fanout);
+      return bench::ExperimentStats{};
+    });
+  pool.wait_all();
+  for (std::size_t i = 0; i < kCases; ++i)
+    EXPECT_EQ(inline_sigs[i], pooled[i])
+        << "seed " << std::hex << cases[i].seed << std::dec << " rf " << cases[i].rf;
 }
 
 TEST(ReplicationDeterminism, LedgerIsNonTrivialUnderThePlan) {
   // Guard against the determinism sweep passing vacuously: the randomized
   // plans must actually invalidate copies and drive repair traffic.
   const std::string sig = rep_signature(
-      0xfade, 1, 2, replica::Placement::kRotational, replica::WriteFanout::kStar);
+      0xfade, 2, replica::Placement::kRotational, replica::WriteFanout::kStar);
   EXPECT_NE(sig.find("server_crashes: 1"), std::string::npos) << sig;
   EXPECT_EQ(sig.find("chunks_invalidated: 0\n"), std::string::npos) << sig;
   EXPECT_EQ(sig.find("repair_ops_completed: 0\n"), std::string::npos) << sig;
