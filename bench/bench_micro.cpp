@@ -410,6 +410,38 @@ void BM_EndToEndMpiIoTest(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndMpiIoTest)->Unit(benchmark::kMillisecond);
 
+// Vanilla MPI-IO's small-piece path through the full stack: one rank's
+// strided 40 B cells, each piece its own request through client, network,
+// data server, RAID-0 and disk and back (Fig 4 vanilla's per-request work,
+// without the 256-rank incast). One item = one server request.
+void BM_VanillaSmallPieces(benchmark::State& state) {
+  std::uint64_t requests = 0;
+  for (auto _ : state) {
+    harness::TestbedConfig cfg = bench::paper_config();
+    cfg.keep_traces = false;
+    harness::Testbed tb(cfg);
+    wl::HpioConfig hc;
+    hc.region_size = 40;
+    hc.region_spacing = 255 * 40;  // the other 255 ranks' cells of a row
+    hc.region_count = 4096;
+    hc.regions_per_call = 16;
+    hc.is_write = true;
+    hc.file =
+        tb.create_file("cells", hc.region_count * (hc.region_size + hc.region_spacing));
+    tb.add_job(
+        "pieces", 1, tb.vanilla(), [hc](std::uint32_t) { return wl::make_hpio(hc); },
+        dualpar::Policy::kForcedNormal);
+    tb.run();
+    requests = 0;
+    for (std::uint32_t s = 0; s < tb.num_servers(); ++s)
+      requests += tb.server(s).requests_handled();
+  }
+  state.counters["requests"] = static_cast<double>(requests);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(requests));
+}
+BENCHMARK(BM_VanillaSmallPieces)->Unit(benchmark::kMillisecond);
+
 // Repair-pipeline micro: a server crash invalidates every copy it hosts, and
 // after the restart the repair manager re-copies them from surviving replicas
 // through the foreground disk schedulers and NIC paths. The repair byte count

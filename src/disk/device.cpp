@@ -1,10 +1,12 @@
 #include "disk/device.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "fault/injector.hpp"
+#include "sim/debug.hpp"
 
 namespace dpar::disk {
 
@@ -48,7 +50,7 @@ void DiskDevice::submit(Request r) {
   poll();
 }
 
-void DiskDevice::submit_batch(std::vector<Request> batch) {
+void DiskDevice::submit_batch(std::vector<Request>& batch) {
   // While the device is idle (or plugged) each submit may change dispatch
   // state, so requests go through the scalar path one by one. Once busy_, a
   // submit reduces to arrival-stamp + enqueue (submit() returns before any
@@ -130,15 +132,15 @@ std::uint64_t Raid0Device::capacity_sectors() const {
 
 void Raid0Device::submit(Request r) {
   // Split the logical request into per-chunk pieces, map each chunk to a
-  // member disk, and coalesce adjacent pieces that land on the same member.
+  // member disk, and coalesce the pieces that land on one member (they are
+  // always member-adjacent, see the class comment).
   struct Piece {
     int member;
     std::uint64_t lba;
     std::uint64_t sectors;
   };
-  std::vector<Piece> pieces;
-  // Index of the last piece per member, to coalesce member-adjacent chunks
-  // even though they alternate in logical order.
+  Piece pieces[2] = {};
+  std::size_t n = 0;
   int last_piece[2] = {-1, -1};
   std::uint64_t lba = r.lba;
   std::uint64_t remaining = r.sectors;
@@ -149,35 +151,54 @@ void Raid0Device::submit(Request r) {
     const int member = static_cast<int>(chunk % 2);
     // Member-local address: chunk index within the member, same offset.
     const std::uint64_t mlba = (chunk / 2) * chunk_sectors_ + within;
-    if (last_piece[member] >= 0) {
-      Piece& prev = pieces[static_cast<std::size_t>(last_piece[member])];
-      if (prev.lba + prev.sectors == mlba) {
-        prev.sectors += take;
-        lba += take;
-        remaining -= take;
-        continue;
-      }
-    }
-    last_piece[member] = static_cast<int>(pieces.size());
-    pieces.push_back(Piece{member, mlba, take});
     lba += take;
     remaining -= take;
+    if (last_piece[member] >= 0) {
+      Piece& prev = pieces[last_piece[member]];
+      DPAR_ASSERT(prev.lba + prev.sectors == mlba,
+                  "RAID-0: a member's chunks of one request are not adjacent");
+      prev.sectors += take;
+      continue;
+    }
+    last_piece[member] = static_cast<int>(n);
+    pieces[n++] = Piece{member, mlba, take};
+  }
+  if (n == 0) {
+    if (r.done) r.done(fault::Status::kOk);
+    return;
   }
 
-  auto* fan = fault::make_status_fanin(
-      pieces.size(), [done = std::move(r.done)](fault::Status st) mutable {
-        if (done) done(st);
-      });
-  for (const Piece& p : pieces) {
+  Split* sp = nullptr;
+  if (n == 2) {
+    sp = splits_.acquire();
+    sp->done = std::move(r.done);
+    sp->pending = 2;
+    sp->status = fault::Status::kOk;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const Piece& p = pieces[i];
     Request sub;
     sub.id = next_id_++;
     sub.lba = p.lba;
     sub.sectors = static_cast<std::uint32_t>(p.sectors);
     sub.is_write = r.is_write;
     sub.context = r.context;
-    sub.done = [fan](fault::Status st) { fan->complete(st); };
+    if (sp != nullptr) {
+      sub.done = [this, sp](fault::Status st) { piece_done_(sp, st); };
+    } else {
+      sub.done = std::move(r.done);
+    }
     member(p.member).submit(std::move(sub));
   }
+}
+
+void Raid0Device::piece_done_(Split* sp, fault::Status st) {
+  sp->status = fault::combine(sp->status, st);
+  if (--sp->pending != 0) return;
+  CompletionFn done = std::move(sp->done);
+  const fault::Status out = sp->status;
+  splits_.release(sp);
+  if (done) done(out);
 }
 
 }  // namespace dpar::disk

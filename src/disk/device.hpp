@@ -10,6 +10,7 @@
 #include "disk/model.hpp"
 #include "disk/scheduler.hpp"
 #include "sim/engine.hpp"
+#include "sim/pool.hpp"
 
 namespace dpar::fault {
 class FaultInjector;
@@ -25,8 +26,9 @@ class BlockDevice {
   /// Submit a whole decomposed list-I/O batch. Semantically identical to
   /// calling submit() on each request in order (completion order and timing
   /// are unchanged); devices may override to hand the scheduler the bulk of
-  /// the batch in one call instead of N queue round-trips.
-  virtual void submit_batch(std::vector<Request> batch) {
+  /// the batch in one call instead of N queue round-trips. The requests are
+  /// moved out; the caller keeps the vector (and its capacity) and clears it.
+  virtual void submit_batch(std::vector<Request>& batch) {
     for (Request& r : batch) submit(std::move(r));
   }
   virtual std::uint64_t capacity_sectors() const = 0;
@@ -44,7 +46,7 @@ class DiskDevice final : public BlockDevice {
   DiskDevice(sim::Engine& eng, DiskParams params, std::unique_ptr<IoScheduler> sched);
 
   void submit(Request r) override;
-  void submit_batch(std::vector<Request> batch) override;
+  void submit_batch(std::vector<Request>& batch) override;
   std::uint64_t capacity_sectors() const override { return model_.params().capacity_sectors(); }
   void set_fault_injector(fault::FaultInjector* inj, std::uint32_t owner) override {
     injector_ = inj;
@@ -87,6 +89,12 @@ class DiskDevice final : public BlockDevice {
 /// RAID-0 pair (the paper's per-server hardware RAID of two drives): stripes
 /// requests over two member disks at a fixed chunk size and completes when
 /// all member requests finish.
+///
+/// A contiguous request becomes at most one piece per member: the next chunk
+/// a member holds after chunk c is chunk c+2, which starts exactly where c
+/// ends in member-local sectors, so a member's chunks always coalesce. A
+/// one-piece request reaches its member with the caller's completion; only a
+/// two-piece request pays for a (pooled) fan-in.
 class Raid0Device final : public BlockDevice {
  public:
   Raid0Device(sim::Engine& eng, DiskParams params, std::unique_ptr<IoScheduler> s0,
@@ -102,10 +110,19 @@ class Raid0Device final : public BlockDevice {
   DiskDevice& member(int i) { return i == 0 ? d0_ : d1_; }
 
  private:
+  /// Fan-in of a two-piece request.
+  struct Split {
+    CompletionFn done;
+    int pending = 0;
+    fault::Status status = fault::Status::kOk;
+  };
+  void piece_done_(Split* sp, fault::Status st);
+
   sim::Engine& eng_;
   DiskDevice d0_, d1_;
   std::uint64_t chunk_sectors_;
   std::uint64_t next_id_ = 1;
+  sim::Pool<Split> splits_;
 };
 
 }  // namespace dpar::disk

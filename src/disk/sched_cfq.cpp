@@ -22,6 +22,7 @@
 
 #include "disk/scheduler.hpp"
 #include "disk/sorted_queue.hpp"
+#include "sim/slot_fifo.hpp"
 #include "sim/stats.hpp"
 
 namespace dpar::disk {
@@ -117,7 +118,7 @@ class CfqScheduler final : public IoScheduler {
 
   CfqParams p_;
   ContextTable<Context> contexts_;
-  SlotFifo<std::uint64_t> rr_;
+  sim::SlotFifo<std::uint64_t> rr_;
   std::uint64_t active_ = kNone;
   sim::Time slice_end_ = 0;
   sim::Time idle_started_ = 0;

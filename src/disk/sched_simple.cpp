@@ -13,6 +13,7 @@
 
 #include "disk/scheduler.hpp"
 #include "disk/sorted_queue.hpp"
+#include "sim/slot_fifo.hpp"
 
 namespace dpar::disk {
 namespace {
@@ -31,7 +32,7 @@ class NoopScheduler final : public IoScheduler {
 
  private:
   RequestSlab slab_;
-  SlotFifo<std::uint32_t> q_;
+  sim::SlotFifo<std::uint32_t> q_;
 };
 
 /// Sector-sorted service with per-direction expiry FIFOs, like the Linux
@@ -94,15 +95,15 @@ class DeadlineScheduler final : public IoScheduler {
                              sorted_.generation(slot)});
   }
 
-  void drop_stale(SlotFifo<FifoEntry>& fifo) {
+  void drop_stale(sim::SlotFifo<FifoEntry>& fifo) {
     while (!fifo.empty() && sorted_.generation(fifo.front().slot) != fifo.front().gen)
       fifo.pop_front();
   }
 
   sim::Time read_dl_, write_dl_;
   SortedRunQueue sorted_;
-  SlotFifo<FifoEntry> read_fifo_;
-  SlotFifo<FifoEntry> write_fifo_;
+  sim::SlotFifo<FifoEntry> read_fifo_;
+  sim::SlotFifo<FifoEntry> write_fifo_;
   std::vector<std::uint32_t> slots_tmp_;
 };
 

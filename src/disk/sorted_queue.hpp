@@ -16,8 +16,8 @@
 //    tombstones the key and compacts when half the run is dead. Lookups use
 //    the branchless lower bound, plus an O(1)-validated hint for the
 //    elevator's sequential sweep.
-//  * SlotFifo — a grow-only POD ring buffer (NOOP's slot FIFO, deadline
-//    expiry FIFOs, CFQ's round-robin list).
+//  * sim::SlotFifo (sim/slot_fifo.hpp) — the grow-only ring buffer behind
+//    NOOP's slot FIFO, the deadline expiry FIFOs and CFQ's round-robin list.
 //  * ContextTable — an open-addressed linear-probe table for per-context
 //    scheduler state, replacing `std::map<uint64_t, Context>`. Contexts are
 //    never erased (matching the map-based originals), so no tombstones.
@@ -213,12 +213,25 @@ class SortedRunQueue {
   }
 
   /// Sort the appended tail and merge it into the run. One O(b log b + n)
-  /// pass per arrival burst, instead of b O(n) in-place insertions.
+  /// pass per arrival burst, instead of b O(n) in-place insertions. Keys are
+  /// unique (seq), so every merge gives the same order; this one allocates
+  /// nothing once merge_buf_ has grown (std::inplace_merge allocates a
+  /// temporary buffer on every call).
   void ensure_sorted() {
     if (sorted_ == keys_.size()) return;
     const auto mid = keys_.begin() + static_cast<std::ptrdiff_t>(sorted_);
-    std::sort(mid, keys_.end(), before);
-    std::inplace_merge(keys_.begin(), mid, keys_.end(), before);
+    if (keys_.size() - sorted_ == 1) {
+      // A single late arrival: shift the larger keys up one slot.
+      const Key k = keys_.back();
+      const auto pos = std::upper_bound(keys_.begin(), mid, k, before);
+      std::move_backward(pos, mid, keys_.end());
+      *pos = k;
+    } else {
+      std::sort(mid, keys_.end(), before);
+      merge_buf_.resize(keys_.size());
+      std::merge(keys_.begin(), mid, mid, keys_.end(), merge_buf_.begin(), before);
+      keys_.swap(merge_buf_);
+    }
     sorted_ = keys_.size();
     hint_ = npos;
   }
@@ -250,52 +263,13 @@ class SortedRunQueue {
   }
 
   std::vector<Key> keys_;  // sorted by (lba, seq) up to sorted_, then appends
+  std::vector<Key> merge_buf_;  // ensure_sorted's merge target, swapped with keys_
   RequestSlab slab_;
   std::size_t sorted_ = 0;  // keys_[0..sorted_) is sorted
   std::size_t hint_ = npos;
   std::size_t live_ = 0;
   std::size_t dead_ = 0;
   std::uint32_t next_seq_ = 0;
-};
-
-/// Grow-only ring buffer (deadline expiry FIFOs, CFQ's round-robin list,
-/// NOOP's slot FIFO). Meant for small trivially-movable records; bulky
-/// payloads belong in a RequestSlab with their slot ids ringed here.
-template <class T>
-class SlotFifo {
- public:
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  void push_back(T v) {
-    if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(v);
-    ++size_;
-  }
-
-  T& front() { return buf_[head_]; }
-  const T& front() const { return buf_[head_]; }
-
-  T pop_front() {
-    T v = std::move(buf_[head_]);
-    head_ = (head_ + 1) & (buf_.size() - 1);
-    --size_;
-    return v;
-  }
-
- private:
-  void grow() {
-    const std::size_t cap = buf_.empty() ? 8 : buf_.size() * 2;
-    std::vector<T> next(cap);
-    for (std::size_t i = 0; i < size_; ++i)
-      next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
-    buf_ = std::move(next);
-    head_ = 0;
-  }
-
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
 };
 
 /// Open-addressed linear-probe map from context id to per-context scheduler

@@ -72,16 +72,4 @@ WritebackPlan plan_writeback(std::vector<pfs::Segment> dirty, const BatchOptions
   return plan;
 }
 
-double mean_adjacent_distance(std::vector<pfs::Segment> segments) {
-  if (segments.size() < 2) return 0.0;
-  sort_by_offset(segments);
-  double sum = 0.0;
-  for (std::size_t i = 1; i < segments.size(); ++i) {
-    const auto& prev = segments[i - 1];
-    const auto& cur = segments[i];
-    sum += static_cast<double>(cur.offset >= prev.offset ? cur.offset - prev.offset : 0);
-  }
-  return sum / static_cast<double>(segments.size() - 1);
-}
-
 }  // namespace dpar::dualpar

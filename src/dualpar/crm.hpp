@@ -36,8 +36,32 @@ struct WritebackPlan {
 
 WritebackPlan plan_writeback(std::vector<pfs::Segment> dirty, const BatchOptions& opt);
 
-/// Average adjacent distance (bytes) between sorted segments — the client
-/// side ReqDist metric (§IV-B) over one observation slot.
-double mean_adjacent_distance(std::vector<pfs::Segment> segments);
+/// The client-side ReqDist metric (§IV-B) of one file over one observation
+/// slot: the average adjacent offset distance between its requests' segments
+/// once sorted by offset. On a sorted list the adjacent gaps telescope to
+/// (max offset - min offset), so the fold keeps only the extremes and the
+/// count: O(1) per segment, nothing stored. The quotient is bit-identical to
+/// summing the sorted gaps one by one while offsets stay below 2^53, since
+/// every partial sum is then an exactly representable integer.
+class OffsetSpan {
+ public:
+  void add(std::uint64_t offset) {
+    if (n_ == 0 || offset < lo_) lo_ = offset;
+    if (n_ == 0 || offset > hi_) hi_ = offset;
+    ++n_;
+  }
+  std::uint64_t count() const { return n_; }
+  /// Mean adjacent distance in bytes; 0 with fewer than two segments.
+  double mean_adjacent_distance() const {
+    if (n_ < 2) return 0.0;
+    return static_cast<double>(hi_ - lo_) / static_cast<double>(n_ - 1);
+  }
+  void clear() { n_ = 0; }
+
+ private:
+  std::uint64_t lo_ = 0;
+  std::uint64_t hi_ = 0;
+  std::uint64_t n_ = 0;
+};
 
 }  // namespace dpar::dualpar

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "disk/request.hpp"
-#include "dualpar/crm.hpp"
 #include "sim/debug.hpp"
 
 namespace dpar::dualpar {
@@ -146,23 +145,13 @@ bool Emc::latched_off(std::uint32_t job_id) const {
 
 void Emc::observe(std::uint32_t job_id, pfs::FileId file,
                   const std::vector<pfs::Segment>& segments, sim::Time) {
-  // Buffered here; the job table is folded into at tick time.
-  pending_obs_.push_back(PendingObs{job_id, file, segments});
-}
-
-void Emc::flush_observations_() {
-  for (PendingObs& o : pending_obs_) {
-    JobEntry* e = find_job(o.job_id);
-    if (e == nullptr) continue;
-    auto& reqs = e->slot_requests;
-    auto it = std::lower_bound(
-        reqs.begin(), reqs.end(), o.file,
-        [](const auto& p, pfs::FileId f) { return p.first < f; });
-    if (it == reqs.end() || it->first != o.file)
-      it = reqs.insert(it, {o.file, {}});
-    it->second.insert(it->second.end(), o.segments.begin(), o.segments.end());
-  }
-  pending_obs_.clear();
+  JobEntry* e = find_job(job_id);
+  if (e == nullptr) return;
+  auto& spans = e->slot_spans;
+  auto it = std::lower_bound(spans.begin(), spans.end(), file,
+                             [](const auto& p, pfs::FileId f) { return p.first < f; });
+  if (it == spans.end() || it->first != file) it = spans.insert(it, {file, OffsetSpan{}});
+  for (const pfs::Segment& seg : segments) it->second.add(seg.offset);
 }
 
 void Emc::start() {
@@ -181,7 +170,6 @@ void Emc::start() {
 
 void Emc::tick() {
   const sim::Time now = eng_.now();
-  flush_observations_();
 
   // Server-side: mean seek distance of the last completed slot, in bytes.
   double seek_sum = 0.0;
@@ -202,14 +190,13 @@ void Emc::tick() {
   for (JobEntry& e : entries_) {
     double job_sum = 0.0;
     std::uint32_t job_n = 0;
-    for (auto& [file, segs] : e.slot_requests) {
-      if (segs.size() < 2) continue;
-      job_sum += mean_adjacent_distance(segs);
-      ++job_n;
+    for (auto& [file, span] : e.slot_spans) {
+      if (span.count() >= 2) {
+        job_sum += span.mean_adjacent_distance();
+        ++job_n;
+      }
+      span.clear();
     }
-    // Keep the per-file vectors (and their capacity); empty files are
-    // skipped by the size guard above, so results are unchanged.
-    for (auto& [file, segs] : e.slot_requests) segs.clear();
     if (job_n > 0) {
       req_sum += job_sum / job_n;
       ++req_n;

@@ -5,7 +5,8 @@
 //    in the last slot (from the blktrace recorders);
 //  * per-job ReqDist: mean adjacent distance of the job's requests observed
 //    at the compute nodes in the last slot, after sorting per file — the best
-//    I/O efficiency a data-driven reordering could achieve;
+//    I/O efficiency a data-driven reordering could achieve (folded per
+//    segment by OffsetSpan, crm.hpp, without storing or sorting anything);
 //  * per-job I/O ratio, from the instrumented ADIO timing probes.
 // A job enters data-driven mode when aveSeekDist/aveReqDist > T_improvement
 // and its I/O ratio exceeds 80%; it reverts when the condition clears, and is
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "dualpar/crm.hpp"
 #include "dualpar/params.hpp"
 #include "mpi/job.hpp"
 #include "mpiio/env.hpp"
@@ -54,10 +56,9 @@ class Emc : public mpiio::RequestObserver {
   /// Route degraded entry/exit counts into a run's fault ledger (optional).
   void set_fault_injector(fault::FaultInjector* inj) { injector_ = inj; }
 
-  /// ADIO request observation (client side, feeds ReqDist). Hot path: the
-  /// observation is buffered; tick() folds the buffer into the job table.
-  /// ReqDist is computed over offset multisets (mean_adjacent_distance
-  /// sorts), so the fold order never changes the result.
+  /// ADIO request observation (client side, feeds ReqDist). Hot path: each
+  /// segment folds into its (job, file) OffsetSpan in O(1); ReqDist depends
+  /// only on the offset multiset, so the fold order never changes it.
   void observe(std::uint32_t job_id, pfs::FileId file,
                const std::vector<pfs::Segment>& segments, sim::Time now) override;
 
@@ -93,28 +94,17 @@ class Emc : public mpiio::RequestObserver {
     sim::Time prev_compute = 0;
     double io_ratio = 0.0;
     // Request observations of the current slot, per file: a FileId-sorted
-    // flat vector (binary-search insert in observe(), the per-op hot path).
-    // Segment vectors are cleared, not erased, between slots so their
-    // capacity survives — at thousands of observes per slot the node churn
-    // of the old per-file std::map dominated tick().
-    std::vector<std::pair<pfs::FileId, std::vector<pfs::Segment>>> slot_requests;
+    // flat vector (binary-search insert in observe(), the per-op hot path;
+    // tick() sums in this order, which fixes the float accumulation order).
+    // Spans are cleared, not erased, between slots.
+    std::vector<std::pair<pfs::FileId, OffsetSpan>> slot_spans;
     sim::TimeSeries mode_series;
     // Switch damping.
     std::uint32_t agree_slots = 0;
     sim::Time last_switch = 0;
   };
 
-  /// One buffered observe() call, parked until the next tick. The segment
-  /// vector is copied at observe time — the caller's vector is
-  /// stack-transient.
-  struct PendingObs {
-    std::uint32_t job_id;
-    pfs::FileId file;
-    std::vector<pfs::Segment> segments;
-  };
-
   void update_degraded();
-  void flush_observations_();
   JobEntry* find_job(std::uint32_t job_id);
   const JobEntry* find_job(std::uint32_t job_id) const;
 
@@ -127,7 +117,6 @@ class Emc : public mpiio::RequestObserver {
   // side table for O(1) lookup on the per-op paths (observe, mode).
   std::vector<JobEntry> entries_;
   std::vector<std::uint32_t> slot_of_;  ///< job id -> entries_ index + 1; 0 = absent
-  std::vector<PendingObs> pending_obs_;  ///< observed since the last tick
   fault::FaultInjector* injector_ = nullptr;
   std::uint32_t servers_down_ = 0;
   double error_ewma_ = 0.0;

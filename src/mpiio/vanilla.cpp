@@ -46,8 +46,9 @@ void VanillaDriver::issue_piece(PieceWalk* w) {
     return;
   }
   pfs::Client& client = env_.clients.for_node(w->proc->node().id());
-  client.io(w->call.file, {w->call.segments[w->index]}, w->call.is_write,
-            w->proc->global_id(), [w](std::uint64_t, fault::Status st) {
+  const pfs::Segment& seg = w->call.segments[w->index];
+  client.io(w->call.file, {&seg, 1}, w->call.is_write, w->proc->global_id(),
+            [w](std::uint64_t, fault::Status st) {
               // A failed piece is reported and the walk continues: the
               // application sees the error but the benchmark keeps running.
               note_io_status(w->drv->env_, st);

@@ -32,21 +32,6 @@ std::uint64_t Network::bytes_sent() const {
   return n;
 }
 
-namespace {
-
-/// In-flight remote message. A UniqueFunction is too big to re-capture at
-/// the arrival stage without spilling past the inline buffers, so the
-/// callback and routing state live in one heap record and the arrival
-/// lambda captures a single pointer.
-struct Transit {
-  Network* net;
-  sim::FifoResource* rx;
-  sim::Time rx_time;
-  sim::UniqueFunction cb;
-};
-
-}  // namespace
-
 void Network::send(NodeId from, NodeId to, std::uint64_t bytes,
                    sim::UniqueFunction delivered) {
   if (from >= nics_.size() || to >= nics_.size())
@@ -90,12 +75,15 @@ void Network::send(NodeId from, NodeId to, std::uint64_t bytes,
   // there.
   const sim::Time rx_time =
       sim::transfer_time(wire_bytes, params_.bandwidth_bytes_per_s);
-  auto* t = new Transit{this, nics_[to].rx.get(), rx_time, std::move(delivered)};
-  eng_.at(tx_finish + hop, [t] {
+  Transit* t = transits_.acquire();
+  t->rx = nics_[to].rx.get();
+  t->rx_time = rx_time;
+  t->cb = std::move(delivered);
+  eng_.at(tx_finish + hop, [this, t] {
     const sim::Time rx_time = t->rx_time;
     sim::FifoResource& rx = *t->rx;
     sim::UniqueFunction cb = std::move(t->cb);
-    delete t;
+    transits_.release(t);
     rx.submit(rx_time, std::move(cb));
   });
 }

@@ -19,6 +19,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/func.hpp"
+#include "sim/pool.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -80,9 +81,20 @@ class Network {
     std::unique_ptr<sim::FifoResource> rx;
   };
 
+  /// In-flight remote message. A UniqueFunction is too big to re-capture at
+  /// the arrival stage without spilling past the engine's inline buffer, so
+  /// the callback and routing state park in a pooled block and the arrival
+  /// event captures one pointer.
+  struct Transit {
+    sim::FifoResource* rx = nullptr;
+    sim::Time rx_time = 0;
+    sim::UniqueFunction cb;
+  };
+
   sim::Engine& eng_;
   NetParams params_;
   std::vector<Nic> nics_;
+  sim::Pool<Transit> transits_;
   fault::FaultInjector* injector_ = nullptr;
 };
 

@@ -298,7 +298,7 @@ struct RepOpRef {
 /// the chunk-coalesced file-space ranges each shard covers. Shards come out
 /// sorted by server id.
 void build_role_shards(const replica::ReplicaMap& map, std::uint64_t file_size,
-                       const std::vector<Segment>& segments, std::uint32_t role,
+                       std::span<const Segment> segments, std::uint32_t role,
                        bool is_write, std::uint64_t context_unused,
                        std::vector<RepOp::Shard>& out) {
   (void)context_unused;
@@ -556,7 +556,7 @@ void start_rep_stage(RepOp* op, std::uint32_t role) {
 }
 
 void replicated_io(FileSystem& fs, net::NodeId node, replica::RepairManager& mgr,
-                   FileId file, const std::vector<Segment>& segments,
+                   FileId file, std::span<const Segment> segments,
                    bool is_write, std::uint64_t context, IoDoneFn done) {
   const std::uint64_t file_size = fs.info(file).size;
   std::uint64_t total_bytes = 0;
@@ -611,7 +611,7 @@ void replicated_io(FileSystem& fs, net::NodeId node, replica::RepairManager& mgr
 
 }  // namespace
 
-void Client::io(FileId file, const std::vector<Segment>& segments, bool is_write,
+void Client::io(FileId file, std::span<const Segment> segments, bool is_write,
                 std::uint64_t context, IoDoneFn done) {
   ++calls_;
   if (replica::RepairManager* mgr = fs_.replicas();
@@ -664,31 +664,42 @@ void Client::io(FileId file, const std::vector<Segment>& segments, bool is_write
     return;
   }
 
-  // Fault-free fast path: single fan-in, no timeout events, no control block.
-  auto* fan = fault::make_status_fanin(
-      involved, [done = std::move(done), total_bytes](fault::Status st) mutable {
-        done(total_bytes, st);
-      });
+  // Fault-free fast path: one pooled fan-in, no timeout events. Runs are
+  // copied out of the scratch into the pooled server ops, so both keep their
+  // capacity.
+  CallOp* call = call_ops_.acquire();
+  call->done = std::move(done);
+  call->total_bytes = total_bytes;
+  call->pending = involved;
+  call->status = fault::Status::kOk;
+  net::Network& net = fs_.network();
   for (std::uint32_t s : scratch_.touched) {
     DataServer& srv = fs_.server(s);
     const ShardSizing wire = size_shard(per_server[s], is_write);
-
-    ServerIoRequest req;
+    ServerOp* op = srv.acquire_op();
+    ServerIoRequest& req = op->req;
     req.file = file;
     req.is_write = is_write;
     req.context = context;
-    req.runs = std::move(per_server[s]);
-
-    auto& net = fs_.network();
+    req.runs.assign(per_server[s].begin(), per_server[s].end());
     const net::NodeId srv_node = srv.node();
-    const net::NodeId client_node = node_;
     const std::uint64_t reply_msg = wire.reply_msg;
-    req.done = [&net, srv_node, client_node, reply_msg, fan](fault::Status st) {
-      net.send(srv_node, client_node, reply_msg, [fan, st] { fan->complete(st); });
+    req.done = [this, srv_node, reply_msg, call](fault::Status st) {
+      fs_.network().send(srv_node, node_, reply_msg,
+                         [this, call, st] { reply_(call, st); });
     };
-    net.send(client_node, srv_node, wire.req_msg,
-             [&srv, req = std::move(req)]() mutable { srv.handle(std::move(req)); });
+    net.send(node_, srv_node, wire.req_msg, [&srv, op] { srv.handle(op); });
   }
+}
+
+void Client::reply_(CallOp* call, fault::Status st) {
+  call->status = fault::combine(call->status, st);
+  if (--call->pending != 0) return;
+  IoDoneFn done = std::move(call->done);
+  const std::uint64_t total_bytes = call->total_bytes;
+  const fault::Status out = call->status;
+  call_ops_.release(call);
+  done(total_bytes, out);
 }
 
 }  // namespace dpar::pfs

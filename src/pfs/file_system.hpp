@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "pfs/server.hpp"
 #include "sim/engine.hpp"
 #include "sim/func.hpp"
+#include "sim/pool.hpp"
 
 namespace dpar::replica {
 class RepairManager;
@@ -86,13 +88,26 @@ class Client {
   /// fires when every server has replied — or, under fault injection, when
   /// every server has replied, failed definitively, or exhausted the retry
   /// budget (per-request timeout, capped exponential backoff).
-  void io(FileId file, const std::vector<Segment>& segments, bool is_write,
+  ///
+  /// The fault-free path allocates nothing per call in steady state: the
+  /// call's fan-in comes from this client's pool and each server request
+  /// from that server's ServerOp pool.
+  void io(FileId file, std::span<const Segment> segments, bool is_write,
           std::uint64_t context, IoDoneFn done);
 
   net::NodeId node() const { return node_; }
   std::uint64_t calls() const { return calls_; }
 
  private:
+  /// Fan-in of one fault-free call over its servers' replies.
+  struct CallOp {
+    IoDoneFn done;
+    std::uint64_t total_bytes = 0;
+    std::uint32_t pending = 0;
+    fault::Status status = fault::Status::kOk;  ///< worst reply so far
+  };
+  void reply_(CallOp* call, fault::Status st);
+
   FileSystem& fs_;
   net::NodeId node_;
   std::uint64_t calls_ = 0;
@@ -101,6 +116,7 @@ class Client {
   /// at 256+ servers the old per-call allocation and full-width scans
   /// dominated small requests.
   DecomposeScratch scratch_;
+  sim::Pool<CallOp> call_ops_;
 };
 
 }  // namespace dpar::pfs

@@ -9,43 +9,6 @@
 
 namespace dpar::pfs {
 
-namespace {
-
-/// Control block for one in-service request: the request itself plus the
-/// fan-in count over its runs. One allocation per server request (the old
-/// idiom was a shared_ptr<ServerIoRequest> plus a shared_ptr<size_t> counter,
-/// with every per-run callback holding both refcounts).
-struct IoCtx {
-  ServerIoRequest req;
-  std::size_t outstanding;
-  /// Worst outcome across the request's runs.
-  fault::Status status = fault::Status::kOk;
-  /// Set only when fault injection is armed: the owning server and the crash
-  /// epoch the request was accepted in, so the reply can be squashed if the
-  /// server crashed while the disk work was in flight.
-  DataServer* srv = nullptr;
-  std::uint64_t epoch = 0;
-
-  /// One run finished (cache hit or disk completion).
-  void complete_one(fault::Status st = fault::Status::kOk) {
-    status = fault::combine(status, st);
-    if (--outstanding == 0) {
-      ReplyFn done = std::move(req.done);
-      DataServer* s = srv;
-      const std::uint64_t e = epoch;
-      const fault::Status out = status;
-      delete this;
-      if (s) {
-        s->deliver_reply(std::move(done), out, e);
-      } else if (done) {
-        done(out);
-      }
-    }
-  }
-};
-
-}  // namespace
-
 DataServer::DataServer(sim::Engine& eng, net::NodeId node,
                        std::unique_ptr<disk::BlockDevice> dev, ServerParams params)
     : eng_(eng),
@@ -69,6 +32,15 @@ disk::BlkTrace& DataServer::trace() {
   if (auto* d = dynamic_cast<disk::DiskDevice*>(dev_.get())) return d->trace();
   auto* raid = dynamic_cast<disk::Raid0Device*>(dev_.get());
   return raid->member(0).trace();
+}
+
+void DataServer::set_keep_trace_events(bool keep) {
+  if (auto* raid = dynamic_cast<disk::Raid0Device*>(dev_.get())) {
+    raid->member(0).trace().set_keep_events(keep);
+    raid->member(1).trace().set_keep_events(keep);
+    return;
+  }
+  trace().set_keep_events(keep);
 }
 
 void DataServer::set_fault_injector(fault::FaultInjector* inj) {
@@ -100,120 +72,147 @@ void DataServer::deliver_reply(ReplyFn done, fault::Status st, std::uint64_t epo
 }
 
 void DataServer::handle(ServerIoRequest req) {
+  ServerOp* op = ops_.acquire();
+  op->req = std::move(req);
+  handle(op);
+}
+
+void DataServer::handle(ServerOp* op) {
   if (down_) {
     // A dead server answers nothing: the request's callback is destroyed
     // unfired and the client times out.
     if (injector_) ++injector_->counters().server_refused_requests;
+    op->req.done.reset();
+    ops_.release(op);
     return;
   }
   ++requests_;
-  sim::Time cpu =
-      params_.request_base_cost + params_.per_run_cost * static_cast<sim::Time>(req.runs.size());
-  // Request handling passes through the server's service thread first, then
-  // fans out to the disk.
-  auto* ctx = new IoCtx{std::move(req), 0};
+  sim::Time cpu = params_.request_base_cost +
+                  params_.per_run_cost * static_cast<sim::Time>(op->req.runs.size());
+  op->outstanding = 0;
+  op->status = fault::Status::kOk;
+  op->check_epoch = injector_ != nullptr;
   if (injector_) {
     cpu += injector_->server_stall(node_);
-    ctx->srv = this;
-    ctx->epoch = epoch_;
+    op->epoch = epoch_;
   }
-  service_.submit(cpu, [this, ctx] {
-    auto it = extents_.find(ctx->req.file);
-    if (it == extents_.end())
-      throw std::runtime_error("DataServer::handle: unknown file");
-    const Extent extent = it->second;
+  // Request handling passes through the server's service thread first, then
+  // fans out to the disk.
+  service_.submit(cpu, [this, op] { start_disk_io_(op); });
+}
 
-    if (ctx->req.is_write) {
-      bytes_written_ += ctx->req.total_bytes();
-    } else {
-      bytes_read_ += ctx->req.total_bytes();
-    }
+void DataServer::complete_runs_(ServerOp* op, fault::Status st, std::uint64_t n) {
+  op->status = fault::combine(op->status, st);
+  op->outstanding -= n;
+  if (op->outstanding != 0) return;
+  ReplyFn done = std::move(op->req.done);
+  const fault::Status out = op->status;
+  const bool check_epoch = op->check_epoch;
+  const std::uint64_t epoch = op->epoch;
+  ops_.release(op);
+  if (check_epoch) {
+    deliver_reply(std::move(done), out, epoch);
+  } else if (done) {
+    done(out);
+  }
+}
 
-    if (ctx->req.runs.empty()) {
-      ctx->outstanding = 1;
-      ctx->complete_one();
-      return;
-    }
-    // The +1 keeps ctx alive through the loop even if every run is a cache
-    // hit (the matching complete_one is below, after submit_batch); nothing
-    // between here and there fires engine events, so completion order is
-    // unchanged.
-    ctx->outstanding = ctx->req.runs.size() + 1;
-    // Decompose the whole list-I/O request first, then hand the disk every
-    // miss in one submit_batch() call — the scheduler sorts the batch as a
-    // unit instead of paying a queue walk per run. Runs that are exactly
-    // adjacent on this server's extent (a striped client segment lands here
-    // as a train of locally-contiguous chunks) coalesce into one disk
-    // request, so the train costs one completion event per (server, request)
-    // span instead of one per chunk.
-    std::vector<disk::Request> batch;
-    // Byte span and merged-run count of the batch's trailing request, for
-    // the coalesced cache insert and fan-in.
-    std::uint64_t tail_offset = 0, tail_end = 0, tail_runs = 0;
-    auto seal_tail = [this, ctx, &batch, &tail_offset, &tail_end, &tail_runs] {
-      if (batch.empty() || tail_runs == 0) return;
-      const std::uint64_t off = tail_offset, len = tail_end - tail_offset,
-                          n = tail_runs;
-      batch.back().done = [this, ctx, off, len, n](fault::Status st) {
-        // A failed span caches nothing: the sectors never produced data.
-        if (cache_.enabled() && fault::ok(st)) cache_.insert(ctx->req.file, off, len);
-        // One decrement per coalesced run keeps the fan-in count identical
-        // to the uncoalesced layout.
-        for (std::uint64_t i = 0; i < n; ++i) ctx->complete_one(st);
-      };
-      tail_runs = 0;
+void DataServer::start_disk_io_(ServerOp* op) {
+  const ServerIoRequest& req = op->req;
+  auto it = extents_.find(req.file);
+  if (it == extents_.end()) throw std::runtime_error("DataServer::handle: unknown file");
+  const Extent extent = it->second;
+
+  if (req.is_write) {
+    bytes_written_ += req.total_bytes();
+  } else {
+    bytes_read_ += req.total_bytes();
+  }
+
+  if (req.runs.empty()) {
+    op->outstanding = 1;
+    complete_runs_(op, fault::Status::kOk, 1);
+    return;
+  }
+  // The +1 keeps op alive through the loop even if every run is a cache hit
+  // (the matching completion is below, after submit_batch); nothing between
+  // here and there fires engine events, so completion order is unchanged.
+  op->outstanding = req.runs.size() + 1;
+  // Decompose the whole list-I/O request first, then hand the disk every
+  // miss in one submit_batch() call — the scheduler sorts the batch as a
+  // unit instead of paying a queue walk per run. Runs that are exactly
+  // adjacent on this server's extent (a striped client segment lands here as
+  // a train of locally-contiguous chunks) coalesce into one disk request, so
+  // the train costs one completion event per (server, request) span instead
+  // of one per chunk.
+  std::vector<disk::Request>& batch = batch_;
+  batch.clear();
+  // Byte span and merged-run count of the batch's trailing request, for the
+  // coalesced cache insert and fan-in.
+  std::uint64_t tail_offset = 0, tail_end = 0, tail_runs = 0;
+  auto seal_tail = [this, op, &batch, &tail_offset, &tail_end, &tail_runs] {
+    if (batch.empty() || tail_runs == 0) return;
+    const std::uint64_t off = tail_offset, len = tail_end - tail_offset, n = tail_runs;
+    batch.back().done = [this, op, off, len, n](fault::Status st) {
+      // A failed span caches nothing: the sectors never produced data.
+      if (cache_.enabled() && fault::ok(st)) cache_.insert(op->req.file, off, len);
+      // One count per coalesced run keeps the fan-in identical to the
+      // uncoalesced layout.
+      complete_runs_(op, st, n);
     };
-    batch.reserve(ctx->req.runs.size());
-    for (const ServerRun& run : ctx->req.runs) {
-      // Page cache: resident reads skip the disk entirely; misses may be
-      // extended by a read-ahead window when they continue a sequential
-      // stream. Writes go through to the disk and populate the cache.
-      std::uint64_t length = run.length;
-      if (!ctx->req.is_write && cache_.enabled()) {
-        if (cache_.covers(ctx->req.file, run.local_offset, run.length)) {
-          cache_.note_hit();
-          ctx->complete_one();
-          continue;
-        }
-        cache_.note_miss();
-        const std::uint64_t extent_bytes = extent.sectors * disk::kSectorBytes;
-        std::uint64_t ra = cache_.readahead_hint(ctx->req.file, run.local_offset,
-                                                 run.length);
-        if (run.local_offset + length + ra > extent_bytes)
-          ra = extent_bytes > run.local_offset + length
-                   ? extent_bytes - run.local_offset - length
-                   : 0;
-        length += ra;
-      }
-      if (!ctx->req.is_write) disk_bytes_read_ += length;
-      const std::uint64_t lba = extent.base_lba + run.local_offset / disk::kSectorBytes;
-      const std::uint64_t sectors = disk::bytes_to_sectors(length);
-      if (lba + sectors > extent.base_lba + extent.sectors + 8)
-        throw std::runtime_error("DataServer::handle: run beyond extent");
-      if (tail_runs > 0 && batch.back().lba + batch.back().sectors == lba &&
-          tail_end == run.local_offset) {
-        // Contiguous with the previous miss: grow that disk request in place.
-        batch.back().sectors += static_cast<std::uint32_t>(sectors);
-        tail_end = run.local_offset + length;
-        ++tail_runs;
+    tail_runs = 0;
+  };
+  for (const ServerRun& run : req.runs) {
+    // Page cache: resident reads skip the disk entirely; misses may be
+    // extended by a read-ahead window when they continue a sequential
+    // stream. Writes go through to the disk and populate the cache.
+    std::uint64_t length = run.length;
+    if (!req.is_write && cache_.enabled()) {
+      if (cache_.covers(req.file, run.local_offset, run.length)) {
+        cache_.note_hit();
+        complete_runs_(op, fault::Status::kOk, 1);
         continue;
       }
-      seal_tail();
-      disk::Request dr;
-      dr.id = next_req_id_++;
-      dr.lba = lba;
-      dr.sectors = static_cast<std::uint32_t>(sectors);
-      dr.is_write = ctx->req.is_write;
-      dr.context = params_.single_disk_context ? 0 : ctx->req.context;
-      batch.push_back(std::move(dr));
-      tail_offset = run.local_offset;
+      cache_.note_miss();
+      const std::uint64_t extent_bytes = extent.sectors * disk::kSectorBytes;
+      std::uint64_t ra = cache_.readahead_hint(req.file, run.local_offset, run.length);
+      if (run.local_offset + length + ra > extent_bytes)
+        ra = extent_bytes > run.local_offset + length
+                 ? extent_bytes - run.local_offset - length
+                 : 0;
+      length += ra;
+    }
+    if (!req.is_write) disk_bytes_read_ += length;
+    const std::uint64_t lba = extent.base_lba + run.local_offset / disk::kSectorBytes;
+    const std::uint64_t sectors = disk::bytes_to_sectors(length);
+    if (lba + sectors > extent.base_lba + extent.sectors + 8)
+      throw std::runtime_error("DataServer::handle: run beyond extent");
+    if (tail_runs > 0 && batch.back().lba + batch.back().sectors == lba &&
+        tail_end == run.local_offset) {
+      // Contiguous with the previous miss: grow that disk request in place.
+      batch.back().sectors += static_cast<std::uint32_t>(sectors);
       tail_end = run.local_offset + length;
-      tail_runs = 1;
+      ++tail_runs;
+      continue;
     }
     seal_tail();
-    if (!batch.empty()) dev_->submit_batch(std::move(batch));
-    ctx->complete_one();
-  });
+    disk::Request dr;
+    dr.id = next_req_id_++;
+    dr.lba = lba;
+    dr.sectors = static_cast<std::uint32_t>(sectors);
+    dr.is_write = req.is_write;
+    dr.context = params_.single_disk_context ? 0 : req.context;
+    batch.push_back(std::move(dr));
+    tail_offset = run.local_offset;
+    tail_end = run.local_offset + length;
+    tail_runs = 1;
+  }
+  seal_tail();
+  if (!batch.empty()) {
+    dev_->submit_batch(batch);
+    batch.clear();
+  }
+  complete_runs_(op, fault::Status::kOk, 1);
 }
 
 }  // namespace dpar::pfs

@@ -13,6 +13,7 @@
 #include "pfs/layout.hpp"
 #include "pfs/server_cache.hpp"
 #include "sim/func.hpp"
+#include "sim/pool.hpp"
 #include "sim/resource.hpp"
 
 namespace dpar::fault {
@@ -39,6 +40,23 @@ struct ServerIoRequest {
     for (const auto& r : runs) sum += r.length;
     return sum;
   }
+};
+
+/// Control block of one request at a data server, pooled per DataServer:
+/// the request itself plus the fan-in over its runs. The fault-free client
+/// path fills one directly (DataServer::acquire_op) and the request message
+/// captures only the server and this pointer; `req.runs` keeps its capacity
+/// across reuse, so steady-state requests allocate nothing.
+struct ServerOp {
+  ServerIoRequest req;
+  /// Runs (or coalesced disk spans, counted per run) still to finish.
+  std::size_t outstanding = 0;
+  /// Worst outcome across the request's runs.
+  fault::Status status = fault::Status::kOk;
+  /// Set only when fault injection is armed: the reply is squashed if the
+  /// server crashed (changed epoch) while the disk work was in flight.
+  bool check_epoch = false;
+  std::uint64_t epoch = 0;
 };
 
 struct ServerParams {
@@ -70,7 +88,15 @@ class DataServer {
   void set_inter_file_gap(std::uint64_t bytes) { gap_bytes_ = bytes; }
 
   /// Handle a request that has already been delivered to this node.
+  /// Wraps it into a pooled ServerOp; used by the robust, replicated and
+  /// repair paths.
   void handle(ServerIoRequest req);
+  /// The allocation-free form: `op` came from this server's acquire_op(),
+  /// with `op->req` filled in. The server releases it after the reply.
+  void handle(ServerOp* op);
+  /// A pooled op for handle(ServerOp*). Its `req` holds whatever the last
+  /// request left there: the caller overwrites every field.
+  ServerOp* acquire_op() { return ops_.acquire(); }
 
   // ---- Fault injection ----
   /// Arm fault injection for this server and its block device.
@@ -90,6 +116,9 @@ class DataServer {
   ServerCache& page_cache() { return cache_; }
   /// The blktrace of the underlying device (first member for RAID).
   disk::BlkTrace& trace();
+  /// Keep (or drop) the per-dispatch event lists of every member disk; the
+  /// summary counters are kept either way.
+  void set_keep_trace_events(bool keep);
   /// Bytes served to clients (from disk or the page cache).
   std::uint64_t bytes_read() const { return bytes_read_; }
   std::uint64_t bytes_written() const { return bytes_written_; }
@@ -102,6 +131,12 @@ class DataServer {
     std::uint64_t base_lba;
     std::uint64_t sectors;
   };
+
+  /// Service-thread stage: decompose the op's runs into disk requests.
+  void start_disk_io_(ServerOp* op);
+  /// `n` runs of `op` finished with `st`; replies and releases the op when
+  /// none remain.
+  void complete_runs_(ServerOp* op, fault::Status st, std::uint64_t n);
 
   sim::Engine& eng_;
   net::NodeId node_;
@@ -123,6 +158,9 @@ class DataServer {
   std::uint64_t bytes_written_ = 0;
   std::uint64_t disk_bytes_read_ = 0;
   std::uint64_t requests_ = 0;
+  sim::Pool<ServerOp> ops_;
+  /// The disk batch being built by start_disk_io_; kept for its capacity.
+  std::vector<disk::Request> batch_;
 };
 
 }  // namespace dpar::pfs

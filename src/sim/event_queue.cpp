@@ -35,10 +35,35 @@ void EventQueue::note_cancel() {
   if (stale_ >= 64 && stale_ * 2 >= heap_.size()) compact_();
 }
 
+/// Bottom-up pop: walk the hole left by the root down the min-child path to
+/// a leaf, then sift the displaced last key up from there. The last key
+/// almost always belongs near the bottom, so this costs one compare per
+/// sibling and level on the way down instead of an extra compare against the
+/// moving key, plus a short sift-up.
 void EventQueue::pop_min_() {
-  heap_.front() = heap_.back();
+  const EventKey last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down_(0);
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    if (first + 4 <= n) {
+      // Full family: a pairwise tournament, branch-free index selects.
+      const std::size_t a = first + before(heap_[first + 1], heap_[first]);
+      const std::size_t b = first + 2 + before(heap_[first + 3], heap_[first + 2]);
+      best = before(heap_[b], heap_[a]) ? b : a;
+    } else {
+      for (std::size_t c = first + 1; c < n; ++c)
+        if (before(heap_[c], heap_[best])) best = c;
+    }
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+  sift_up_(i);
 }
 
 void EventQueue::sift_up_(std::size_t i) {

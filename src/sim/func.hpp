@@ -11,9 +11,13 @@
 // `void()` instantiation the engine and most completion callbacks use.
 //
 // Beware of nesting: a UniqueFunction is 72 bytes, so a lambda that captures
-// one by value exceeds the 48-byte inline buffer and spills. Hot-path code
-// passes raw pointers to stable control blocks (see sim/fanin.hpp) or stores
-// the continuation in a member instead of re-capturing it.
+// one by value exceeds the 48-byte inline buffer and spills, and so does one
+// capturing a struct that holds one (a pfs::ServerIoRequest is ~120 bytes).
+// The request path parks such state in a pooled control block
+// (sim/pool.hpp: network transits, pfs::ServerOp, client and RAID fan-ins)
+// or in a member of its owner, and captures the owner plus the block
+// pointer. Off the request path, sim/fanin.hpp's heap fan-in does the same
+// with one allocation.
 #pragma once
 
 #include <cstddef>

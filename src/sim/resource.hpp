@@ -1,16 +1,24 @@
 // Generic serially-served FIFO resource.
 //
 // Models any device that serves one job at a time with a caller-supplied
-// service time: a NIC transmit path, a metadata-server CPU, a memcached
-// service thread. Jobs queue in arrival order.
+// service time: a NIC receive path, a data-server service thread, a
+// memcached service thread. Jobs queue in arrival order.
+//
+// Service is event-chained: each job's completion event is scheduled when
+// the job starts, not when it is submitted. A closed form that schedules the
+// completion at submit time gives the same completion instants but different
+// sequence numbers, so it reorders same-instant events: Fig 4's printed
+// coll/vanilla ratio @256 moved from 17.3 to 17.1. The queue is a
+// sim::SlotFifo, so a resource that has reached its peak depth stops
+// allocating.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/func.hpp"
+#include "sim/slot_fifo.hpp"
 
 namespace dpar::sim {
 
@@ -38,7 +46,7 @@ class FifoResource {
 
  private:
   struct Job {
-    Time service;
+    Time service = 0;
     Callback done;
   };
 
@@ -48,8 +56,7 @@ class FifoResource {
       return;
     }
     busy_ = true;
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
+    Job job = queue_.pop_front();
     busy_time_ += job.service;
     // One job is in service at a time, so its continuation parks in a member
     // slot and the engine lambda captures only `this` — re-capturing the
@@ -65,7 +72,7 @@ class FifoResource {
   }
 
   Engine& eng_;
-  std::deque<Job> queue_;
+  SlotFifo<Job> queue_;
   Callback current_done_;
   bool busy_ = false;
   Time busy_time_ = 0;

@@ -2,6 +2,11 @@
 // write-back planning, ReqDist.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "dualpar/crm.hpp"
 #include "sim/rng.hpp"
 
@@ -120,6 +125,29 @@ TEST(PlanWriteback, UnsortedInputHandled) {
   EXPECT_EQ(plan.writes[0].offset, 0u);
 }
 
+/// The sort-based ReqDist definition OffsetSpan replaces: sort by offset,
+/// sum the adjacent gaps, divide by their count. Kept here as the reference
+/// for the differential test below.
+double reference_mean_adjacent_distance(std::vector<Segment> segments) {
+  if (segments.size() < 2) return 0.0;
+  std::sort(segments.begin(), segments.end(), [](const Segment& a, const Segment& b) {
+    return a.offset != b.offset ? a.offset < b.offset : a.length < b.length;
+  });
+  double sum = 0.0;
+  for (std::size_t i = 1; i < segments.size(); ++i) {
+    const auto& prev = segments[i - 1];
+    const auto& cur = segments[i];
+    sum += static_cast<double>(cur.offset >= prev.offset ? cur.offset - prev.offset : 0);
+  }
+  return sum / static_cast<double>(segments.size() - 1);
+}
+
+double mean_adjacent_distance(const std::vector<Segment>& segments) {
+  OffsetSpan span;
+  for (const Segment& s : segments) span.add(s.offset);
+  return span.mean_adjacent_distance();
+}
+
 TEST(MeanAdjacentDistance, SequentialRequests) {
   // 16 KB requests back to back: adjacent offset distance = 16 KB.
   std::vector<Segment> segs;
@@ -136,6 +164,37 @@ TEST(MeanAdjacentDistance, SortsBeforeMeasuring) {
 TEST(MeanAdjacentDistance, DegenerateCases) {
   EXPECT_DOUBLE_EQ(mean_adjacent_distance({}), 0.0);
   EXPECT_DOUBLE_EQ(mean_adjacent_distance({{100, 10}}), 0.0);
+  OffsetSpan span;
+  span.add(5);
+  span.add(9);
+  span.clear();
+  span.add(100);
+  EXPECT_EQ(span.count(), 1u);
+  EXPECT_DOUBLE_EQ(span.mean_adjacent_distance(), 0.0);
+}
+
+TEST(MeanAdjacentDistance, FoldMatchesSortedReferenceBitwise) {
+  // Unsorted lists with duplicates, tiny and huge offsets (up to ~2^40):
+  // the O(1) fold must reproduce the sorted-gap sum to the last bit.
+  sim::Rng rng(20240);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = rng.uniform(40);
+    const std::uint64_t range =
+        trial % 3 == 0 ? 64 : (trial % 3 == 1 ? 1u << 20 : 1ull << 40);
+    const std::uint64_t base = trial % 2 == 0 ? 0 : (1ull << 40) - range;
+    std::vector<Segment> segs;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!segs.empty() && rng.chance(0.2)) {
+        segs.push_back(segs[rng.uniform(segs.size())]);  // duplicate offset
+      } else {
+        segs.push_back(Segment{base + rng.uniform(range), 1 + rng.uniform(4096)});
+      }
+    }
+    const double want = reference_mean_adjacent_distance(segs);
+    const double got = mean_adjacent_distance(segs);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << "trial " << trial << " n=" << n << ": " << got << " vs " << want;
+  }
 }
 
 }  // namespace

@@ -176,6 +176,66 @@ TEST(EventQueueDifferential, CancelStormLeavesBoundedQueue) {
   }
 }
 
+TEST(EventQueueDifferential, PopSequenceMatchesSortedLiveKeys) {
+  // The bottom-up pop walks the hole to a leaf and sifts the last key back
+  // up. Drive it through heap sizes that leave the last family partial, with
+  // times drawn from a narrow range so (time, seq) ties are decided by seq,
+  // and check the whole pop sequence against a sort of the keys that were
+  // never cancelled. Pushes never go below the last popped time (the
+  // engine's rule), so that sort is the exact expected order.
+  for (std::uint64_t seed = 21; seed <= 28; ++seed) {
+    sim::Rng rng(seed);
+    std::vector<std::uint32_t> gens;
+    EventQueue heap(&gens);
+    std::vector<EventKey> live;     // pushed and not cancelled
+    std::vector<std::uint32_t> pending;
+    std::vector<EventKey> popped;
+    std::uint64_t seq = 1;
+    Time now = 0;
+    for (int round = 0; round < 40; ++round) {
+      const int burst = static_cast<int>(rng.uniform(90));
+      for (int i = 0; i < burst; ++i) {
+        gens.push_back(1);
+        const EventKey k{now + static_cast<Time>(rng.uniform(8)), seq++,
+                         static_cast<std::uint32_t>(gens.size() - 1), 1};
+        heap.push(k);
+        live.push_back(k);
+        pending.push_back(k.slot);
+      }
+      const int kills = static_cast<int>(rng.uniform(pending.size() / 3 + 1));
+      for (int i = 0; i < kills; ++i) {
+        const std::size_t at = rng.uniform(pending.size());
+        const std::uint32_t slot = pending[at];
+        pending[at] = pending.back();
+        pending.pop_back();
+        ++gens[slot];
+        heap.note_cancel();
+        live.erase(std::find_if(live.begin(), live.end(),
+                                [slot](const EventKey& k) { return k.slot == slot; }));
+      }
+      const int pops = static_cast<int>(rng.uniform(70));
+      EventKey k{};
+      for (int i = 0; i < pops && heap.pop_min_live(k); ++i) {
+        popped.push_back(k);
+        now = k.t;
+        ++gens[k.slot];
+        pending.erase(std::remove(pending.begin(), pending.end(), k.slot), pending.end());
+      }
+      heap.check_invariants();
+    }
+    EventKey k{};
+    while (heap.pop_min_live(k)) popped.push_back(k);
+    std::sort(live.begin(), live.end(), [](const EventKey& a, const EventKey& b) {
+      return std::tie(a.t, a.seq) < std::tie(b.t, b.seq);
+    });
+    ASSERT_EQ(popped.size(), live.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      ASSERT_EQ(popped[i].seq, live[i].seq) << "seed " << seed << " pop " << i;
+      ASSERT_EQ(popped[i].t, live[i].t) << "seed " << seed << " pop " << i;
+    }
+  }
+}
+
 // ---- invariant death tests ----------------------------------------------
 
 #if DPAR_CHECK_INVARIANTS

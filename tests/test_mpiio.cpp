@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "disk/device.hpp"
 #include "harness/testbed.hpp"
 #include "wl/workloads.hpp"
 
@@ -32,6 +33,30 @@ TEST(Vanilla, ObserverSeesEveryCall) {
   tb.emc().tick();
   // (No assertion on the value; the hook path is what matters.)
   SUCCEED();
+}
+
+TEST(Vanilla, KeepTracesOffReachesEveryRaidMember) {
+  harness::TestbedConfig cfg = small_config();
+  cfg.raid0 = true;
+  cfg.keep_traces = false;
+  harness::Testbed tb(cfg);
+  wl::DemoConfig dc;
+  dc.file_size = 4 << 20;
+  dc.file = tb.create_file("a", dc.file_size);
+  dc.segment_size = 256 * 1024;  // spans both members' chunks
+  tb.add_job("v", 2, tb.vanilla(), [&](std::uint32_t) { return wl::make_demo(dc); },
+             dualpar::Policy::kForcedNormal);
+  tb.run();
+  for (std::uint32_t s = 0; s < tb.num_servers(); ++s) {
+    auto* raid = dynamic_cast<disk::Raid0Device*>(&tb.server(s).device());
+    ASSERT_NE(raid, nullptr);
+    for (int m = 0; m < 2; ++m) {
+      EXPECT_GT(raid->member(m).trace().dispatches(), 0u)
+          << "server " << s << " member " << m;
+      EXPECT_TRUE(raid->member(m).trace().events().empty())
+          << "server " << s << " member " << m;
+    }
+  }
 }
 
 TEST(Collective, NoncollectiveCallsPassThrough) {

@@ -109,7 +109,7 @@ TEST_F(PfsFixture, OpenRoundTripsThroughMetadataServer) {
 TEST_F(PfsFixture, ReadCompletesWithByteCount) {
   const FileId f = fs->create("a", 8 << 20);
   std::uint64_t got = 0;
-  client->io(f, {Segment{0, 1 << 20}}, /*is_write=*/false, 1,
+  client->io(f, std::vector<Segment>{Segment{0, 1 << 20}}, /*is_write=*/false, 1,
              [&](std::uint64_t b, fault::Status) { got = b; });
   eng.run();
   EXPECT_EQ(got, 1u << 20);
@@ -122,7 +122,7 @@ TEST_F(PfsFixture, ReadCompletesWithByteCount) {
 TEST_F(PfsFixture, WriteReachesAllServers) {
   const FileId f = fs->create("a", 8 << 20);
   std::uint64_t got = 0;
-  client->io(f, {Segment{0, 192 * 1024}}, /*is_write=*/true, 1,
+  client->io(f, std::vector<Segment>{Segment{0, 192 * 1024}}, /*is_write=*/true, 1,
              [&](std::uint64_t b, fault::Status) { got = b; });
   eng.run();
   EXPECT_EQ(got, 192u * 1024);
@@ -160,7 +160,7 @@ TEST_F(PfsFixture, SequentialWholeFileReadIsContiguousOnDisk) {
     if (off >= (16u << 20)) return;
     const Segment seg{off, 64 * 1024};
     off += 64 * 1024;
-    client->io(f, {seg}, false, 1, step);
+    client->io(f, {&seg, 1}, false, 1, step);
   };
   step(0, fault::Status::kOk);
   eng.run();
@@ -178,10 +178,12 @@ TEST_F(PfsFixture, DistinctFilesOccupyDistantRegions) {
   const FileId a = fs->create("a", 64 << 20);
   const FileId b = fs->create("b", 64 << 20);
   std::uint64_t lba_a = 0, lba_b = 0;
-  client->io(a, {Segment{0, 4096}}, false, 1, [](std::uint64_t, fault::Status) {});
+  client->io(a, std::vector<Segment>{Segment{0, 4096}}, false, 1,
+             [](std::uint64_t, fault::Status) {});
   eng.run();
   lba_a = servers[0]->trace().events().back().lba;
-  client->io(b, {Segment{0, 4096}}, false, 1, [](std::uint64_t, fault::Status) {});
+  client->io(b, std::vector<Segment>{Segment{0, 4096}}, false, 1,
+             [](std::uint64_t, fault::Status) {});
   eng.run();
   lba_b = servers[0]->trace().events().back().lba;
   // b's extent starts beyond a's share plus the inter-file gap.

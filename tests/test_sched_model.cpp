@@ -18,6 +18,7 @@
 #include "disk/scheduler.hpp"
 #include "disk/sorted_queue.hpp"
 #include "sim/rng.hpp"
+#include "sim/slot_fifo.hpp"
 #include "sim/time.hpp"
 
 namespace dpar::disk {
@@ -425,7 +426,7 @@ TEST(SortedRunQueue, BatchInsertReportsSlotsInArrivalOrder) {
 }
 
 TEST(SlotFifo, FifoOrderAcrossGrowthAndWrap) {
-  SlotFifo<std::uint32_t> f;
+  sim::SlotFifo<std::uint32_t> f;
   std::uint32_t next_push = 0, next_pop = 0;
   sim::Rng rng(3);
   for (int op = 0; op < 10000; ++op) {

@@ -217,6 +217,71 @@ TEST(FifoResource, AcceptsSubmissionsWhileBusy) {
   EXPECT_EQ(second_done, msec(20));
 }
 
+TEST(FifoResource, RingWrapsAroundInFifoOrder) {
+  // At most five jobs queue at once while sixty pass through, so the ring's
+  // head wraps its eight slots several times without growing.
+  Engine eng;
+  FifoResource res(eng);
+  const auto service = [](int i) { return usec(10 * (i % 7 + 1)); };
+  std::vector<std::pair<int, Time>> done;
+  std::function<void(int)> submit = [&](int i) {
+    res.submit(service(i), [&, i] {
+      done.emplace_back(i, eng.now());
+      if (i + 5 < 60) submit(i + 5);
+    });
+  };
+  for (int i = 0; i < 5; ++i) submit(i);
+  eng.run();
+  ASSERT_EQ(done.size(), 60u);
+  Time t = 0;
+  for (int i = 0; i < 60; ++i) {
+    t += service(i);
+    EXPECT_EQ(done[static_cast<std::size_t>(i)], std::make_pair(i, t));
+  }
+  EXPECT_EQ(res.busy_time(), t);
+  EXPECT_EQ(res.total_jobs(), 60u);
+}
+
+TEST(FifoResource, GrowsWhileBusyWithWrappedRing) {
+  // Job 0 starts at once and advances the ring's head; the next eight fill
+  // the ring across its end, so job 9 grows it while it is wrapped and busy.
+  Engine eng;
+  FifoResource res(eng);
+  std::vector<std::pair<int, Time>> done;
+  for (int i = 0; i < 40; ++i)
+    res.submit(msec(i % 3 + 1), [&, i] { done.emplace_back(i, eng.now()); });
+  EXPECT_TRUE(res.busy());
+  EXPECT_EQ(res.queue_length(), 39u);
+  eng.run();
+  ASSERT_EQ(done.size(), 40u);
+  Time t = 0;
+  for (int i = 0; i < 40; ++i) {
+    t += msec(i % 3 + 1);
+    EXPECT_EQ(done[static_cast<std::size_t>(i)], std::make_pair(i, t));
+  }
+  EXPECT_EQ(res.busy_time(), t);
+  EXPECT_FALSE(res.busy());
+}
+
+TEST(FifoResource, CompletionSubmitsBehindQueuedJobs) {
+  // A job submitted from inside a completion joins the back of the queue:
+  // it runs after the job that was already waiting, even with zero service.
+  Engine eng;
+  FifoResource res(eng);
+  std::vector<std::pair<char, Time>> done;
+  res.submit(msec(10), [&] {
+    done.emplace_back('a', eng.now());
+    res.submit(0, [&] { done.emplace_back('c', eng.now()); });
+  });
+  res.submit(msec(5), [&] { done.emplace_back('b', eng.now()); });
+  eng.run();
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0], std::make_pair('a', msec(10)));
+  EXPECT_EQ(done[1], std::make_pair('b', msec(15)));
+  EXPECT_EQ(done[2], std::make_pair('c', msec(15)));
+  EXPECT_EQ(res.busy_time(), msec(15));
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
