@@ -442,6 +442,34 @@ void BM_VanillaSmallPieces(benchmark::State& state) {
 }
 BENCHMARK(BM_VanillaSmallPieces)->Unit(benchmark::kMillisecond);
 
+// Two-phase collective I/O's round path: one 256-rank BTIO job whose every
+// I/O call is a collective round of 40 B cells (Fig 4 collective's per-round
+// exchange, planning and aggregator I/O). One item = one collective round.
+void BM_CollectiveRound(benchmark::State& state) {
+  std::uint64_t rounds = 0;
+  for (auto _ : state) {
+    harness::TestbedConfig cfg = bench::paper_config();
+    cfg.keep_traces = false;
+    harness::Testbed tb(cfg);
+    wl::BtioConfig bc;
+    bc.total_bytes = 4ull << 20;
+    bc.write_steps = 4;
+    bc.read_back = true;
+    bc.collective = true;
+    bc.file = tb.create_file("btio", bc.total_bytes);
+    tb.add_job(
+        "btio", 256, tb.collective(), [bc](std::uint32_t) { return wl::make_btio(bc); },
+        dualpar::Policy::kForcedNormal);
+    tb.run();
+    benchmark::DoNotOptimize(tb.collective().shuffle_bytes());
+    rounds = tb.collective().collective_rounds();
+  }
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rounds));
+}
+BENCHMARK(BM_CollectiveRound)->Unit(benchmark::kMillisecond);
+
 // Repair-pipeline micro: a server crash invalidates every copy it hosts, and
 // after the restart the repair manager re-copies them from surviving replicas
 // through the foreground disk schedulers and NIC paths. The repair byte count

@@ -228,11 +228,13 @@ std::uint64_t GlobalCache::evict_idle(sim::Time now) {
   return evicted;
 }
 
-void GlobalCache::drop_clean(std::uint64_t owner) {
+void GlobalCache::drop_clean(std::vector<std::uint64_t> owners) {
+  std::sort(owners.begin(), owners.end());
   // dpar-lint: allow(unordered-iter) predicate erase; the surviving set is
   // independent of visit order
   for (auto it = chunks_.begin(); it != chunks_.end();) {
-    if (it->second.owner == owner && it->second.dirty.empty()) {
+    if (it->second.dirty.empty() &&
+        std::binary_search(owners.begin(), owners.end(), it->second.owner)) {
       debit_valid(it->second, it->second.valid.total_bytes());
       it = chunks_.erase(it);
     } else {

@@ -112,8 +112,9 @@ class GlobalCache {
   /// Drop chunks not referenced since `now - idle_eviction` (dirty chunks are
   /// retained). Returns evicted byte count.
   std::uint64_t evict_idle(sim::Time now);
-  /// Drop every clean chunk owned by `owner` (cycle turnover).
-  void drop_clean(std::uint64_t owner);
+  /// Drop every clean chunk owned by any of `owners` (cycle turnover), in
+  /// one scan of the chunk table. `owners` may come in any order.
+  void drop_clean(std::vector<std::uint64_t> owners);
 
   /// Transfer modelling: perform the memcached traffic for accessing `seg`
   /// of `file` from `from_node`; `done` fires when all per-home messages

@@ -238,9 +238,12 @@ void DualParDriver::start_cycle(mpi::Job& job) {
     st.prev_prefetch_bytes = 0;
   }
   // Recycle the previous round's clean chunks (the quota is per cycle).
+  std::vector<std::uint64_t> owners;
+  owners.reserve(job.nprocs() + 1);
   for (std::uint32_t i = 0; i < job.nprocs(); ++i)
-    cache_.drop_clean(job.process(i).global_id());
-  cache_.drop_clean(st.crm_context);
+    owners.push_back(job.process(i).global_id());
+  owners.push_back(st.crm_context);
+  cache_.drop_clean(std::move(owners));
 
   run_writeback(job, [this, &job] {
     run_prefetch(job, [this, &job] { resume_all(job); });

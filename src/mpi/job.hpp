@@ -30,7 +30,9 @@ class IoDriver {
  public:
   virtual ~IoDriver() = default;
 
-  /// Serve one I/O call of `proc`; `done` resumes the process.
+  /// Serve one I/O call of `proc`; `done` resumes the process. `call` stays
+  /// valid until `done` has run or been destroyed, so a driver may keep a
+  /// pointer to it instead of a copy (the collective driver does).
   virtual void io(Process& proc, const IoCall& call, sim::UniqueFunction done) = 0;
 
   /// Notifications the DualPar cycle coordinator relies on.
@@ -141,6 +143,9 @@ class Job {
   std::uint32_t nprocs() const { return static_cast<std::uint32_t>(procs_.size()); }
   Process& process(std::uint32_t i) { return *procs_[i]; }
   bool finished() const { return finished_ == nprocs() && nprocs() > 0; }
+  /// Ranks that have not reached their end yet. O(1): a rank is counted as
+  /// finished the moment its state becomes ProcState::kFinished.
+  std::uint32_t live() const { return nprocs() - finished_; }
   sim::Time start_time() const { return start_time_; }
   sim::Time completion_time() const { return completion_time_; }
 

@@ -1,30 +1,129 @@
 #include "mpiio/collective.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
+
+#include "sim/debug.hpp"
 
 namespace dpar::mpiio {
 namespace {
 
-/// Sorted, coalesced copy of segments.
-std::vector<pfs::Segment> sort_and_merge(std::vector<pfs::Segment> segs) {
+/// Sort non-empty `segs` by offset and coalesce overlapping or touching ones,
+/// in place.
+void sort_and_merge(std::vector<pfs::Segment>& segs) {
   std::sort(segs.begin(), segs.end(), [](const pfs::Segment& a, const pfs::Segment& b) {
     return a.offset < b.offset;
   });
-  std::vector<pfs::Segment> out;
-  for (const auto& s : segs) {
-    if (s.length == 0) continue;
-    if (!out.empty() && out.back().end() >= s.offset) {
-      out.back().length = std::max(out.back().end(), s.end()) - out.back().offset;
+  std::size_t n = 0;
+  for (const pfs::Segment& s : segs) {
+    if (n > 0 && segs[n - 1].end() >= s.offset) {
+      segs[n - 1].length = std::max(segs[n - 1].end(), s.end()) - segs[n - 1].offset;
     } else {
-      out.push_back(s);
+      segs[n++] = s;
     }
   }
-  return out;
+  segs.resize(n);
 }
 
 }  // namespace
+
+bool plan_round(std::span<const RoundInput> inputs, bool is_write,
+                const CollectiveParams& params, RoundPlan& plan) {
+  plan.flows.clear();
+  std::uint64_t lo = UINT64_MAX, hi = 0, useful = 0;
+  for (const RoundInput& in : inputs) {
+    for (const pfs::Segment& s : in.segments) {
+      if (s.length == 0) continue;
+      lo = std::min(lo, s.offset);
+      hi = std::max(hi, s.end());
+      useful += s.length;
+    }
+  }
+  if (useful == 0) {
+    plan.aggs.clear();
+    return false;
+  }
+
+  // Participant nodes by id; every one hosts an aggregator up to the cap.
+  plan.nodes.clear();
+  for (const RoundInput& in : inputs) plan.nodes.push_back(in.node);
+  std::sort(plan.nodes.begin(), plan.nodes.end());
+  plan.nodes.erase(std::unique(plan.nodes.begin(), plan.nodes.end()), plan.nodes.end());
+  const std::size_t nnodes = plan.nodes.size();
+  std::size_t nagg = nnodes;
+  if (params.max_aggregators > 0) nagg = std::min<std::size_t>(nagg, params.max_aggregators);
+
+  plan.cols.resize(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    plan.cols[i] = static_cast<std::uint32_t>(
+        std::lower_bound(plan.nodes.begin(), plan.nodes.end(), inputs[i].node) -
+        plan.nodes.begin());
+  plan.aggs.resize(nagg);
+  for (std::size_t a = 0; a < nagg; ++a) {
+    plan.aggs[a].node = plan.nodes[a];
+    plan.aggs[a].segs.clear();
+    plan.aggs[a].rmw = false;
+  }
+  // Walking backwards leaves each aggregator the context of the first
+  // participant on its node.
+  for (std::size_t i = inputs.size(); i-- > 0;)
+    if (plan.cols[i] < nagg) plan.aggs[plan.cols[i]].context = inputs[i].context;
+
+  // Split each rank's segments over the aggregators' file domains and add
+  // up the exchange per (aggregator, participant node).
+  const std::uint64_t extent = hi - lo;
+  const std::uint64_t domain = (extent + nagg - 1) / nagg;
+  plan.table.assign(nagg * nnodes, RoundFlow{});
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    RoundFlow* column = plan.table.data() + plan.cols[i];
+    for (const pfs::Segment& s : inputs[i].segments) {
+      std::uint64_t off = s.offset, rem = s.length;
+      while (rem > 0) {
+        const std::uint64_t a = std::min<std::uint64_t>((off - lo) / domain, nagg - 1);
+        const std::uint64_t dom_end = lo + (a + 1) * domain;
+        const std::uint64_t take = std::min(rem, dom_end - off);
+        plan.aggs[a].segs.push_back(pfs::Segment{off, take});
+        RoundFlow& cell = column[a * nnodes];
+        cell.bytes += take;
+        cell.meta += 16;  // flattened (offset,len) descriptor
+        off += take;
+        rem -= take;
+      }
+    }
+  }
+  // Every piece has take > 0, so a cell moves data exactly when it was
+  // touched, and so does the aggregator of every flow. Row-major order over
+  // id-sorted nodes is (aggregator, node id).
+  for (std::size_t a = 0; a < nagg; ++a)
+    for (std::size_t c = 0; c < nnodes; ++c) {
+      const RoundFlow& cell = plan.table[a * nnodes + c];
+      if (cell.meta > 0)
+        plan.flows.push_back(RoundFlow{static_cast<std::uint32_t>(a), plan.nodes[c],
+                                       cell.bytes, cell.meta});
+    }
+  DPAR_ASSERT(!plan.flows.empty(), "a round with useful bytes has no flow");
+
+  // Data sieving decision per aggregator.
+  for (RoundAgg& a : plan.aggs) {
+    sort_and_merge(a.segs);
+    if (a.segs.size() <= 1) continue;
+    const std::uint64_t span = a.segs.back().end() - a.segs.front().offset;
+    std::uint64_t use = 0;
+    for (const pfs::Segment& s : a.segs) use += s.length;
+    const bool dense = span <= params.sieve_buffer &&
+                       static_cast<double>(use) / static_cast<double>(span) >=
+                           params.sieve_min_density;
+    if (!dense) continue;
+    if (!is_write || params.write_sieving) {
+      // Reads fetch the whole span; RMW writes read it first, then write it
+      // back patched.
+      a.segs.front().length = span;
+      a.segs.resize(1);
+      a.rmw = is_write;
+    }
+  }
+  return true;
+}
 
 void CollectiveDriver::io(mpi::Process& proc, const mpi::IoCall& call,
                           sim::UniqueFunction done) {
@@ -35,223 +134,119 @@ void CollectiveDriver::io(mpi::Process& proc, const mpi::IoCall& call,
   if (env_.observer)
     env_.observer->observe(proc.job().id(), call.file, call.segments,
                            env_.fs.engine().now());
-  Epoch& epoch = epochs_[proc.job().id()];
-  epoch.entries.push_back(Entry{&proc, call, std::move(done)});
-  const std::uint32_t live = proc.job().nprocs() -
-                             [&] {
-                               std::uint32_t f = 0;
-                               for (std::uint32_t i = 0; i < proc.job().nprocs(); ++i)
-                                 if (proc.job().process(i).state() == mpi::ProcState::kFinished)
-                                   ++f;
-                               return f;
-                             }();
-  if (epoch.entries.size() >= live) run_round(proc.job().id());
+  std::vector<Entry>& epoch = epochs_[proc.job().id()];
+  epoch.push_back(Entry{&proc, &call, std::move(done)});
+  if (epoch.size() >= proc.job().live()) run_round(epoch);
 }
 
 void CollectiveDriver::on_process_end(mpi::Process& proc) {
   // A rank finishing can complete a pending round (remaining live ranks all
   // arrived already).
   auto it = epochs_.find(proc.job().id());
-  if (it == epochs_.end() || it->second.entries.empty()) return;
-  std::uint32_t live = 0;
-  for (std::uint32_t i = 0; i < proc.job().nprocs(); ++i)
-    if (proc.job().process(i).state() != mpi::ProcState::kFinished) ++live;
-  if (it->second.entries.size() >= live && live > 0) run_round(proc.job().id());
+  if (it == epochs_.end() || it->second.empty()) return;
+  const std::uint32_t live = proc.job().live();
+  if (live > 0 && it->second.size() >= live) run_round(it->second);
 }
 
-void CollectiveDriver::run_round(std::uint32_t job_id) {
+void CollectiveDriver::run_round(std::vector<Entry>& epoch) {
   ++rounds_;
-  auto entries = std::make_shared<std::vector<Entry>>(std::move(epochs_[job_id].entries));
-  epochs_[job_id].entries.clear();
-  sim::Engine& eng = env_.fs.engine();
+  Round* r = rounds_pool_.acquire();
+  r->entries.swap(epoch);  // the epoch takes the record's empty vector
 
-  // ---- Plan the round (assume one target file per round; benchmarks obey
-  // this, and ROMIO plans per file handle anyway). ----
-  const pfs::FileId file = (*entries)[0].call.file;
-  const bool is_write = (*entries)[0].call.is_write;
-
-  std::uint64_t lo = UINT64_MAX, hi = 0, useful = 0;
-  for (const auto& e : *entries) {
-    for (const auto& s : e.call.segments) {
-      if (s.length == 0) continue;
-      lo = std::min(lo, s.offset);
-      hi = std::max(hi, s.end());
-      useful += s.length;
-    }
+  // One target file and direction per round: ROMIO plans per file handle.
+  r->file = r->entries.front().call->file;
+  r->is_write = r->entries.front().call->is_write;
+  r->inputs.clear();
+  for (const Entry& e : r->entries) {
+    DPAR_ASSERT(e.call->file == r->file && e.call->is_write == r->is_write,
+                "collective round mixes files or directions");
+    r->inputs.push_back(
+        RoundInput{e.proc->node().id(), e.proc->global_id(), e.call->segments});
   }
-  if (useful == 0) {  // nothing to move; release everyone after a barrier hop
-    std::vector<sim::UniqueFunction> dones;
-    dones.reserve(entries->size());
-    for (auto& e : *entries) dones.push_back(std::move(e.done));
-    eng.after_all(sim::usec(100), std::move(dones));
+  if (!plan_round(r->inputs, r->is_write, params_, r->plan)) {
+    finish(r, sim::usec(100));  // nothing to move: a barrier hop
     return;
   }
-
-  // Aggregators: one per distinct compute node hosting participants.
-  struct Agg {
-    net::NodeId node;
-    std::uint64_t context;  ///< aggregator's process id as I/O context
-    std::vector<pfs::Segment> segs;
-    bool rmw = false;  ///< write sieving: read the span before writing it
-  };
-  std::vector<Agg> aggs;
-  {
-    std::vector<net::NodeId> nodes;
-    for (const auto& e : *entries) {
-      const net::NodeId n = e.proc->node().id();
-      if (std::find(nodes.begin(), nodes.end(), n) == nodes.end()) {
-        nodes.push_back(n);
-        aggs.push_back(Agg{n, e.proc->global_id(), {}});
-      }
-    }
-    std::sort(aggs.begin(), aggs.end(), [](const Agg& a, const Agg& b) {
-      return a.node < b.node;
-    });
-    if (params_.max_aggregators > 0 && aggs.size() > params_.max_aggregators)
-      aggs.resize(params_.max_aggregators);
-  }
-  const std::uint64_t nagg = aggs.size();
-  const std::uint64_t extent = hi - lo;
-  const std::uint64_t domain = (extent + nagg - 1) / nagg;
-
-  // Split each rank's segments over the aggregators' file domains and track
-  // the shuffle volume per (aggregator, rank).
-  struct Shuffle {
-    net::NodeId agg_node;
-    net::NodeId proc_node;
-    std::uint64_t bytes;
-  };
-  std::map<std::pair<std::uint64_t, net::NodeId>, std::uint64_t> shuffle_map;
-  std::map<std::pair<std::uint64_t, net::NodeId>, std::uint64_t> meta_map;
-  for (const auto& e : *entries) {
-    const net::NodeId pnode = e.proc->node().id();
-    for (const auto& s : e.call.segments) {
-      std::uint64_t off = s.offset, rem = s.length;
-      while (rem > 0) {
-        const std::uint64_t a = std::min((off - lo) / domain, nagg - 1);
-        const std::uint64_t dom_end = lo + (a + 1) * domain;
-        const std::uint64_t take = std::min(rem, dom_end - off);
-        aggs[a].segs.push_back(pfs::Segment{off, take});
-        shuffle_map[{a, pnode}] += take;
-        meta_map[{a, pnode}] += 16;  // flattened (offset,len) descriptor
-        off += take;
-        rem -= take;
-      }
-    }
-  }
-
-  // Data sieving decision per aggregator.
-  for (auto& a : aggs) {
-    a.segs = sort_and_merge(std::move(a.segs));
-    if (a.segs.size() <= 1) continue;
-    const std::uint64_t span = a.segs.back().end() - a.segs.front().offset;
-    std::uint64_t use = 0;
-    for (const auto& s : a.segs) use += s.length;
-    const bool dense = span <= params_.sieve_buffer &&
-                       static_cast<double>(use) / static_cast<double>(span) >=
-                           params_.sieve_min_density;
-    if (!dense) continue;
-    if (!is_write) {
-      a.segs = {pfs::Segment{a.segs.front().offset, span}};
-    } else if (params_.write_sieving) {
-      // RMW: the whole span is read first, then written back patched.
-      a.segs = {pfs::Segment{a.segs.front().offset, span}};
-      a.rmw = true;
-    }
-  }
-
   // Exchange bookkeeping CPU: every rank packs/unpacks state that grows with
   // the participant count.
-  const sim::Time cpu =
-      params_.exchange_cpu_per_rank * static_cast<sim::Time>(entries->size());
-
-  // ---- Execute the phases. ----
-  auto finish_all = [entries, &eng, cpu] {
-    // One completion event per collective round instead of one per rank;
-    // consecutive sequence numbers cannot interleave, so order is unchanged.
-    std::vector<sim::UniqueFunction> dones;
-    dones.reserve(entries->size());
-    for (auto& e : *entries) dones.push_back(std::move(e.done));
-    eng.after_all(cpu, std::move(dones));
-  };
-
-  auto do_agg_io = [this, aggs, file, is_write, entries, shuffle_map, finish_all,
-                    &eng]() mutable {
-    auto pending = std::make_shared<std::size_t>(0);
-    for (const auto& a : aggs)
-      if (!a.segs.empty()) ++*pending;
-    auto after_io = [this, pending, shuffle_map, aggs, is_write, entries, finish_all,
-                     &eng]() mutable {
-      if (--*pending > 0) return;
-      if (is_write) {  // data travelled before the write; just release
-        finish_all();
-        return;
-      }
-      // Read shuffle: aggregators scatter data to owner ranks.
-      auto msgs = std::make_shared<std::size_t>(0);
-      for (const auto& [key, bytes] : shuffle_map)
-        if (bytes > 0) ++*msgs;
-      if (*msgs == 0) {
-        finish_all();
-        return;
-      }
-      for (const auto& [key, bytes] : shuffle_map) {
-        if (bytes == 0) continue;
-        shuffle_bytes_ += bytes;
-        env_.net.send(aggs[key.first].node, key.second, bytes,
-                      [msgs, finish_all]() mutable {
-                        if (--*msgs == 0) finish_all();
-                      });
-      }
-    };
-    bool any = false;
-    for (const auto& a : aggs) {
-      if (a.segs.empty()) continue;
-      any = true;
-      pfs::Client& client = env_.clients.for_node(a.node);
-      if (a.rmw) {
-        // Write sieving: fetch the span, patch in memory, write it back.
-        client.io(file, a.segs, /*is_write=*/false, a.context,
-                  [this, &client, file, a, after_io](std::uint64_t,
-                                                     fault::Status st) mutable {
-                    note_io_status(env_, st);
-                    client.io(file, a.segs, /*is_write=*/true, a.context,
-                              [this, after_io](std::uint64_t,
-                                               fault::Status wst) mutable {
-                                note_io_status(env_, wst);
-                                after_io();
-                              });
-                  });
-      } else {
-        client.io(file, a.segs, is_write, a.context,
-                  [this, after_io](std::uint64_t, fault::Status st) mutable {
-                    note_io_status(env_, st);
-                    after_io();
-                  });
-      }
-    }
-    if (!any) finish_all();
-  };
+  r->cpu = params_.exchange_cpu_per_rank * static_cast<sim::Time>(r->entries.size());
 
   // Phase 1: metadata exchange (everyone ships request lists to aggregators),
   // plus, for writes, the data shuffle owner -> aggregator.
-  auto meta_pending = std::make_shared<std::size_t>(0);
-  auto after_meta = [meta_pending, do_agg_io]() mutable {
-    if (--*meta_pending == 0) do_agg_io();
-  };
-  std::vector<std::tuple<net::NodeId, net::NodeId, std::uint64_t>> msgs;
-  for (const auto& [key, meta_bytes] : meta_map) {
-    std::uint64_t bytes = 64 + meta_bytes;
-    if (is_write) bytes += shuffle_map[key];  // ship payload with descriptors
-    if (is_write) shuffle_bytes_ += shuffle_map[key];
-    msgs.emplace_back(key.second, aggs[key.first].node, bytes);
+  const RoundPlan& plan = r->plan;
+  r->pending = plan.flows.size();
+  for (const RoundFlow& f : plan.flows) {
+    std::uint64_t bytes = 64 + f.meta;
+    if (r->is_write) {  // ship payload with descriptors
+      bytes += f.bytes;
+      shuffle_bytes_ += f.bytes;
+    }
+    env_.net.send(f.node, plan.aggs[f.agg].node, bytes, [this, r] {
+      if (--r->pending == 0) issue_agg_io(r);
+    });
   }
-  *meta_pending = msgs.size();
-  if (msgs.empty()) {
-    do_agg_io();
+}
+
+// Phase 2: every aggregator with data accesses its file domain (at least one
+// has data: the aggregator of every flow does).
+void CollectiveDriver::issue_agg_io(Round* r) {
+  const RoundPlan& plan = r->plan;
+  r->pending = 0;
+  for (const RoundAgg& a : plan.aggs)
+    if (!a.segs.empty()) ++r->pending;
+  for (std::size_t i = 0; i < plan.aggs.size(); ++i) {
+    const RoundAgg& a = plan.aggs[i];
+    if (a.segs.empty()) continue;
+    pfs::Client& client = env_.clients.for_node(a.node);
+    if (a.rmw) {
+      // Write sieving: fetch the span, patch in memory, write it back.
+      client.io(r->file, a.segs, /*is_write=*/false, a.context,
+                [this, r, i, &client](std::uint64_t, fault::Status st) {
+                  note_io_status(env_, st);
+                  const RoundAgg& agg = r->plan.aggs[i];
+                  client.io(r->file, agg.segs, /*is_write=*/true, agg.context,
+                            [this, r](std::uint64_t, fault::Status wst) {
+                              note_io_status(env_, wst);
+                              agg_io_done(r);
+                            });
+                });
+    } else {
+      client.io(r->file, a.segs, r->is_write, a.context,
+                [this, r](std::uint64_t, fault::Status st) {
+                  note_io_status(env_, st);
+                  agg_io_done(r);
+                });
+    }
+  }
+}
+
+// Phase 3: writes are done (data travelled before them); reads scatter the
+// data from the aggregators to the owner ranks' nodes.
+void CollectiveDriver::agg_io_done(Round* r) {
+  if (--r->pending > 0) return;
+  const RoundPlan& plan = r->plan;
+  if (r->is_write) {
+    finish(r, r->cpu);
     return;
   }
-  for (const auto& [from, to, bytes] : msgs) env_.net.send(from, to, bytes, after_meta);
+  r->pending = plan.flows.size();
+  for (const RoundFlow& f : plan.flows) {
+    shuffle_bytes_ += f.bytes;
+    env_.net.send(plan.aggs[f.agg].node, f.node, f.bytes, [this, r] {
+      if (--r->pending == 0) finish(r, r->cpu);
+    });
+  }
+}
+
+void CollectiveDriver::finish(Round* r, sim::Time delay) {
+  // One completion event per collective round instead of one per rank;
+  // consecutive sequence numbers cannot interleave, so order is unchanged.
+  std::vector<sim::UniqueFunction> dones;
+  dones.reserve(r->entries.size());
+  for (Entry& e : r->entries) dones.push_back(std::move(e.done));
+  r->entries.clear();
+  rounds_pool_.release(r);
+  env_.fs.engine().after_all(delay, std::move(dones));
 }
 
 }  // namespace dpar::mpiio

@@ -12,14 +12,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "mpi/job.hpp"
 #include "mpiio/env.hpp"
 #include "mpiio/vanilla.hpp"
+#include "sim/pool.hpp"
 
 namespace dpar::mpiio {
 
@@ -39,6 +40,53 @@ struct CollectiveParams {
   bool write_sieving = false;
 };
 
+/// One rank's part of a collective round, as the planner sees it.
+struct RoundInput {
+  net::NodeId node = 0;        ///< compute node hosting the rank
+  std::uint64_t context = 0;   ///< the rank's process id (I/O context)
+  std::span<const pfs::Segment> segments;
+};
+
+/// An aggregator of a planned round and the sieved segments it issues.
+struct RoundAgg {
+  net::NodeId node = 0;
+  std::uint64_t context = 0;  ///< first participant on the node, as I/O context
+  std::vector<pfs::Segment> segs;
+  bool rmw = false;  ///< write sieving: read the span before writing it
+};
+
+/// Exchange between aggregator `agg` (an index into RoundPlan::aggs) and the
+/// participant node `node`: `bytes` of payload and `meta` bytes of flattened
+/// (offset, len) descriptors. Only pairs that exchange data have a flow.
+struct RoundFlow {
+  std::uint32_t agg = 0;
+  net::NodeId node = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t meta = 0;
+};
+
+/// The plan of one round, refilled in place by plan_round so a reused plan
+/// keeps the capacity of its vectors.
+struct RoundPlan {
+  std::vector<RoundAgg> aggs;    ///< sorted by node id
+  std::vector<RoundFlow> flows;  ///< in (aggregator index, node id) order
+
+  // Planner scratch: participant nodes sorted by id, each input's column in
+  // that list, and the aggregator x participant-node table of flows.
+  std::vector<net::NodeId> nodes;
+  std::vector<std::uint32_t> cols;
+  std::vector<RoundFlow> table;
+};
+
+/// Plan a two-phase round over `inputs` (one per participating rank, in
+/// arrival order): one aggregator per participant node (the lowest node ids
+/// first, capped at max_aggregators), the accessed extent split into equal
+/// contiguous file domains, each aggregator's pieces sorted, merged and
+/// sieved, and the per-(aggregator, node) exchange volumes. Returns false,
+/// with no aggregators and no flows, when the round moves no bytes.
+bool plan_round(std::span<const RoundInput> inputs, bool is_write,
+                const CollectiveParams& params, RoundPlan& plan);
+
 class CollectiveDriver : public VanillaDriver {
  public:
   CollectiveDriver(IoEnv env, CollectiveParams params = {})
@@ -56,17 +104,31 @@ class CollectiveDriver : public VanillaDriver {
  private:
   struct Entry {
     mpi::Process* proc;
-    mpi::IoCall call;
+    const mpi::IoCall* call;  ///< valid until `done` runs (IoDriver::io)
     sim::UniqueFunction done;
   };
-  struct Epoch {
+  /// One round in flight. Pooled: every phase's continuation captures only
+  /// the driver and the record, and the vectors keep their capacity.
+  struct Round {
     std::vector<Entry> entries;
+    std::vector<RoundInput> inputs;
+    RoundPlan plan;
+    pfs::FileId file = 0;
+    bool is_write = false;
+    sim::Time cpu = 0;        ///< exchange bookkeeping before the release
+    std::size_t pending = 0;  ///< outstanding messages or transfers of a phase
   };
 
-  void run_round(std::uint32_t job_id);
+  /// Start a round with the arrived ranks of `epoch` (left empty).
+  void run_round(std::vector<Entry>& epoch);
+  void issue_agg_io(Round* r);
+  void agg_io_done(Round* r);
+  /// Release every rank `delay` from now and recycle the record.
+  void finish(Round* r, sim::Time delay);
 
   CollectiveParams params_;
-  std::map<std::uint32_t, Epoch> epochs_;
+  std::map<std::uint32_t, std::vector<Entry>> epochs_;  ///< by job id
+  sim::Pool<Round> rounds_pool_;
   std::uint64_t rounds_ = 0;
   std::uint64_t shuffle_bytes_ = 0;
 };

@@ -204,9 +204,81 @@ TEST_F(CacheFixture, IdleEvictionSparesDirty) {
 TEST_F(CacheFixture, DropCleanKeepsDirty) {
   cache.insert(1, Segment{0, 64 * 1024}, 5, true);
   cache.write(1, Segment{64 * 1024, 1024}, 5);
-  cache.drop_clean(5);
+  cache.drop_clean({5});
   EXPECT_FALSE(cache.covers(1, Segment{0, 1}));
   EXPECT_TRUE(cache.covers(1, Segment{64 * 1024, 1024}));
+}
+
+TEST_F(CacheFixture, DropCleanTakesOnlyListedOwners) {
+  cache.insert(1, Segment{0, 64 * 1024}, 5, false);
+  cache.insert(1, Segment{64 * 1024, 64 * 1024}, 6, false);
+  cache.insert(1, Segment{128 * 1024, 64 * 1024}, 7, false);
+  cache.drop_clean({7, 5});
+  EXPECT_FALSE(cache.covers(1, Segment{0, 1}));
+  EXPECT_TRUE(cache.covers(1, Segment{64 * 1024, 64 * 1024}));
+  EXPECT_FALSE(cache.covers(1, Segment{128 * 1024, 1}));
+  EXPECT_EQ(cache.owner_bytes(6), 64u * 1024);
+  EXPECT_EQ(cache.total_valid_bytes(), 64u * 1024);
+}
+
+// Cycle turnover drops several owners at once; the one-pass drop must leave
+// exactly what dropping them one by one leaves.
+TEST(CacheTurnover, OnePassDropMatchesPerOwnerDrops) {
+  constexpr std::uint64_t kOwners = 6;
+  constexpr std::uint64_t kChunk = 64 * 1024;
+  struct Snapshot {
+    std::uint64_t chunks, total;
+    std::vector<std::uint64_t> owner_bytes, node_bytes;
+    std::vector<std::pair<pfs::FileId, Segment>> dirty;
+    bool operator==(const Snapshot&) const = default;
+  };
+  auto run = [&](std::uint64_t seed, bool one_pass) {
+    Engine eng;
+    net::Network net{eng, 4};
+    GlobalCache cache{eng, net, {0, 1, 2}, CacheParams{kChunk, sim::secs(30)}};
+    sim::Rng rng(seed);
+    std::vector<Snapshot> snaps;
+    for (int cycle = 0; cycle < 30; ++cycle) {
+      for (int op = 0; op < 40; ++op) {
+        const pfs::FileId file = 1 + static_cast<pfs::FileId>(rng.uniform(2));
+        const Segment seg{rng.uniform(32 * kChunk), 1 + rng.uniform(3 * kChunk)};
+        const std::uint64_t owner = rng.uniform(kOwners);
+        switch (rng.uniform(3)) {
+          case 0:
+            cache.insert(file, seg, owner, rng.uniform(2) == 1);
+            break;
+          case 1:
+            cache.write(file, seg, owner);
+            break;
+          default:
+            cache.clear_dirty(file, seg);
+            break;
+        }
+      }
+      std::vector<std::uint64_t> owners;
+      for (std::uint64_t o = 0; o < kOwners; ++o)
+        if (rng.uniform(2) == 1) owners.push_back(o);
+      if (one_pass) {
+        cache.drop_clean(owners);
+      } else {
+        for (std::uint64_t o : owners) cache.drop_clean({o});
+      }
+      Snapshot s{cache.chunk_count(), cache.total_valid_bytes(), {}, {},
+                 cache.all_dirty_segments()};
+      for (std::uint64_t o = 0; o < kOwners; ++o) s.owner_bytes.push_back(cache.owner_bytes(o));
+      for (net::NodeId n = 0; n < 3; ++n) s.node_bytes.push_back(cache.node_bytes(n));
+      snaps.push_back(std::move(s));
+    }
+    return snaps;
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::vector<Snapshot> one = run(seed, true);
+    const std::vector<Snapshot> each = run(seed, false);
+    ASSERT_EQ(one.size(), each.size());
+    for (std::size_t c = 0; c < one.size(); ++c)
+      EXPECT_TRUE(one[c] == each[c]) << "seed " << seed << " cycle " << c;
+    EXPECT_GT(one.back().chunks, 0u) << "seed " << seed;
+  }
 }
 
 TEST_F(CacheFixture, TransferGetPaysRoundTrip) {

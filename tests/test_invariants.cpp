@@ -110,6 +110,32 @@ TEST(InvariantsDeath, MutationPathCatchesCorruptedTotal) {
   EXPECT_DEATH(rs.remove(50, 250), "diverged from range sum");
 }
 
+TEST(InvariantsDeath, CollectiveRoundRejectsMixedFiles) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The two ranks of one collective round target different files; the
+  // round is planned for one file and direction only.
+  auto mixed_round = [] {
+    harness::TestbedConfig cfg;
+    cfg.data_servers = 2;
+    cfg.compute_nodes = 2;
+    harness::Testbed tb(cfg);
+    wl::NoncontigConfig nc;
+    nc.columns = 2;
+    nc.elmt_count = 64;
+    nc.rows = 64;
+    nc.collective = true;
+    const pfs::FileId a = tb.create_file("a", 1 << 20);
+    const pfs::FileId b = tb.create_file("b", 1 << 20);
+    tb.add_job("mixed", 2, tb.collective(), [&](std::uint32_t rank) {
+      wl::NoncontigConfig c = nc;
+      c.file = rank == 0 ? a : b;
+      return wl::make_noncontig(c);
+    }, dualpar::Policy::kForcedNormal);
+    tb.run();
+  };
+  EXPECT_DEATH(mixed_round(), "mixes files or directions");
+}
+
 #else
 
 TEST(InvariantsDeath, SkippedWithoutInvariantLayer) {

@@ -1,11 +1,19 @@
 // Tests for the MPI-IO drivers: vanilla request flow and two-phase
-// collective I/O (synchronization, aggregation, sieving, shuffle).
+// collective I/O (synchronization, aggregation, sieving, shuffle, and the
+// round planner against a map-based reference).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "disk/device.hpp"
 #include "harness/testbed.hpp"
+#include "mpiio/collective.hpp"
+#include "sim/rng.hpp"
 #include "wl/workloads.hpp"
 
 namespace dpar::mpiio {
@@ -204,6 +212,197 @@ TEST(Collective, DataSievingReadsContiguousSpan) {
   for (std::uint32_t s = 0; s < tb.num_servers(); ++s)
     served += tb.server(s).bytes_read();
   EXPECT_GT(served, job.total_bytes());  // holes were read along (sieving)
+}
+
+/// Replays a fixed op list, then ends.
+class ScriptProgram final : public mpi::Program {
+ public:
+  explicit ScriptProgram(std::vector<mpi::Op> ops) : ops_(std::move(ops)) {}
+  mpi::Op next(mpi::ProgramContext&) override {
+    if (pos_ >= ops_.size()) return mpi::OpEnd{};
+    return ops_[pos_++];
+  }
+  std::unique_ptr<mpi::Program> clone() const override {
+    auto p = std::make_unique<ScriptProgram>(ops_);
+    p->pos_ = pos_;
+    return p;
+  }
+
+ private:
+  std::vector<mpi::Op> ops_;
+  std::size_t pos_ = 0;
+};
+
+TEST(Collective, RoundClosesWhenARankEndsEarly) {
+  // Ranks 0-2 make three collective reads; rank 3 makes two, computes past
+  // the others' arrival at the third, then ends. Only on_process_end can
+  // close that last round.
+  constexpr std::uint64_t kLen = 4096;
+  constexpr std::uint32_t kCalls = 3;
+  harness::Testbed tb(small_config());
+  const pfs::FileId f = tb.create_file("a", 1 << 20);
+  auto& job = tb.add_job("c", 4, tb.collective(), [&](std::uint32_t rank) {
+    const std::uint32_t calls = rank == 3 ? kCalls - 1 : kCalls;
+    std::vector<mpi::Op> ops;
+    for (std::uint32_t c = 0; c < calls; ++c) {
+      mpi::IoCall call;
+      call.file = f;
+      call.segments = {pfs::Segment{(c * 4 + rank) * kLen, kLen}};
+      call.collective = true;
+      ops.push_back(mpi::OpIo{std::move(call)});
+    }
+    if (rank == 3) ops.push_back(mpi::OpCompute{sim::secs(1)});
+    return std::make_unique<ScriptProgram>(std::move(ops));
+  }, dualpar::Policy::kForcedNormal);
+  tb.run(/*max_events=*/1'000'000);  // a round left open never ends the run
+  EXPECT_TRUE(job.finished());
+  EXPECT_EQ(tb.collective().collective_rounds(), kCalls);
+  // A read round scatters every byte it read, local pieces included.
+  EXPECT_EQ(tb.collective().shuffle_bytes(), (kCalls * 4 - 1) * kLen);
+  EXPECT_EQ(job.total_bytes(), (kCalls * 4 - 1) * kLen);
+}
+
+// ---- plan_round against the map-based planner it replaced ----
+
+std::vector<pfs::Segment> reference_sort_and_merge(std::vector<pfs::Segment> segs) {
+  std::sort(segs.begin(), segs.end(), [](const pfs::Segment& a, const pfs::Segment& b) {
+    return a.offset < b.offset;
+  });
+  std::vector<pfs::Segment> out;
+  for (const auto& s : segs) {
+    if (s.length == 0) continue;
+    if (!out.empty() && out.back().end() >= s.offset) {
+      out.back().length = std::max(out.back().end(), s.end()) - out.back().offset;
+    } else {
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
+/// The planner as it was written with two std::maps keyed by (aggregator,
+/// participant node): aggregators in first-arrival order, then sorted by node
+/// and capped; flows in map order.
+bool reference_plan(const std::vector<RoundInput>& inputs, bool is_write,
+                    const CollectiveParams& params, std::vector<RoundAgg>& aggs,
+                    std::vector<RoundFlow>& flows) {
+  aggs.clear();
+  flows.clear();
+  std::uint64_t lo = UINT64_MAX, hi = 0, useful = 0;
+  for (const auto& in : inputs) {
+    for (const auto& s : in.segments) {
+      if (s.length == 0) continue;
+      lo = std::min(lo, s.offset);
+      hi = std::max(hi, s.end());
+      useful += s.length;
+    }
+  }
+  if (useful == 0) return false;
+  std::vector<net::NodeId> nodes;
+  for (const auto& in : inputs) {
+    if (std::find(nodes.begin(), nodes.end(), in.node) == nodes.end()) {
+      nodes.push_back(in.node);
+      aggs.push_back(RoundAgg{in.node, in.context, {}, false});
+    }
+  }
+  std::sort(aggs.begin(), aggs.end(),
+            [](const RoundAgg& a, const RoundAgg& b) { return a.node < b.node; });
+  if (params.max_aggregators > 0 && aggs.size() > params.max_aggregators)
+    aggs.resize(params.max_aggregators);
+  const std::uint64_t nagg = aggs.size();
+  const std::uint64_t domain = (hi - lo + nagg - 1) / nagg;
+  std::map<std::pair<std::uint64_t, net::NodeId>, std::uint64_t> shuffle_map;
+  std::map<std::pair<std::uint64_t, net::NodeId>, std::uint64_t> meta_map;
+  for (const auto& in : inputs) {
+    for (const auto& s : in.segments) {
+      std::uint64_t off = s.offset, rem = s.length;
+      while (rem > 0) {
+        const std::uint64_t a = std::min((off - lo) / domain, nagg - 1);
+        const std::uint64_t take = std::min(rem, lo + (a + 1) * domain - off);
+        aggs[a].segs.push_back(pfs::Segment{off, take});
+        shuffle_map[{a, in.node}] += take;
+        meta_map[{a, in.node}] += 16;
+        off += take;
+        rem -= take;
+      }
+    }
+  }
+  for (auto& a : aggs) {
+    a.segs = reference_sort_and_merge(std::move(a.segs));
+    if (a.segs.size() <= 1) continue;
+    const std::uint64_t span = a.segs.back().end() - a.segs.front().offset;
+    std::uint64_t use = 0;
+    for (const auto& s : a.segs) use += s.length;
+    const bool dense = span <= params.sieve_buffer &&
+                       static_cast<double>(use) / static_cast<double>(span) >=
+                           params.sieve_min_density;
+    if (!dense) continue;
+    if (!is_write) {
+      a.segs = {pfs::Segment{a.segs.front().offset, span}};
+    } else if (params.write_sieving) {
+      a.segs = {pfs::Segment{a.segs.front().offset, span}};
+      a.rmw = true;
+    }
+  }
+  for (const auto& [key, meta] : meta_map)
+    flows.push_back(RoundFlow{static_cast<std::uint32_t>(key.first), key.second,
+                              shuffle_map[key], meta});
+  return true;
+}
+
+TEST(CollectivePlan, MatchesMapBasedReference) {
+  sim::Rng rng(2012);
+  RoundPlan plan;  // reused across cases, as the driver's pooled rounds do
+  std::vector<RoundAgg> ref_aggs;
+  std::vector<RoundFlow> ref_flows;
+  int planned = 0, rmw = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    CollectiveParams params;
+    params.max_aggregators = std::vector<std::uint32_t>{0, 1, 3}[rng.uniform(3)];
+    params.write_sieving = rng.uniform(2) == 1;
+    const bool is_write = rng.uniform(2) == 1;
+    // A few non-contiguous node ids, ranks placed on them at random.
+    std::vector<net::NodeId> node_ids(1 + rng.uniform(5));
+    for (auto& n : node_ids) n = static_cast<net::NodeId>(rng.uniform(24));
+    const std::uint64_t spread = rng.uniform(2) == 1 ? (256u << 10) : (64u << 20);
+    const std::size_t nranks = 1 + rng.uniform(12);
+    std::vector<std::vector<pfs::Segment>> segs(nranks);
+    std::vector<RoundInput> inputs;
+    for (std::size_t r = 0; r < nranks; ++r) {
+      const std::size_t nseg = rng.uniform(7);
+      for (std::size_t k = 0; k < nseg; ++k) {
+        const std::uint64_t len = rng.uniform(5) == 0 ? 0 : 1 + rng.uniform(16 << 10);
+        segs[r].push_back(pfs::Segment{rng.uniform(spread), len});
+      }
+    }
+    for (std::size_t r = 0; r < nranks; ++r)
+      inputs.push_back(RoundInput{node_ids[rng.uniform(node_ids.size())],
+                                  1000 + r, segs[r]});
+
+    const bool got = plan_round(inputs, is_write, params, plan);
+    const bool want = reference_plan(inputs, is_write, params, ref_aggs, ref_flows);
+    ASSERT_EQ(got, want) << "case " << iter;
+    if (got) ++planned;
+    for (const RoundAgg& a : ref_aggs) rmw += a.rmw;
+    ASSERT_EQ(plan.aggs.size(), ref_aggs.size()) << "case " << iter;
+    for (std::size_t a = 0; a < ref_aggs.size(); ++a) {
+      EXPECT_EQ(plan.aggs[a].node, ref_aggs[a].node) << "case " << iter;
+      EXPECT_EQ(plan.aggs[a].context, ref_aggs[a].context) << "case " << iter;
+      EXPECT_EQ(plan.aggs[a].segs, ref_aggs[a].segs) << "case " << iter;
+      EXPECT_EQ(plan.aggs[a].rmw, ref_aggs[a].rmw) << "case " << iter;
+    }
+    ASSERT_EQ(plan.flows.size(), ref_flows.size()) << "case " << iter;
+    for (std::size_t i = 0; i < ref_flows.size(); ++i) {
+      const RoundFlow& g = plan.flows[i];
+      const RoundFlow& w = ref_flows[i];
+      EXPECT_EQ(std::tie(g.agg, g.node, g.bytes, g.meta),
+                std::tie(w.agg, w.node, w.bytes, w.meta))
+          << "case " << iter << " flow " << i;
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(planned, 2000);
+  EXPECT_GT(rmw, 0);  // write sieving was exercised
 }
 
 }  // namespace
