@@ -16,8 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
 using bench::Variant;
@@ -35,10 +34,12 @@ struct Knobs {
   bool per_origin_context = false;
   std::uint64_t server_page_cache = 0;  ///< bytes; 0 = paper's flushed caches
   Variant variant = Variant::kDualPar;
+
+  friend bool operator==(const Knobs&, const Knobs&) = default;
 };
 
 bench::ExperimentStats run(const Knobs& k, std::uint64_t scale) {
-  harness::TestbedConfig cfg = bench::paper_config();
+  harness::TestbedConfig cfg;
   cfg.dualpar.sort_batch = k.sort;
   cfg.dualpar.merge_batch = k.merge;
   cfg.dualpar.fill_holes = k.holes;
@@ -49,35 +50,9 @@ bench::ExperimentStats run(const Knobs& k, std::uint64_t scale) {
   cfg.server.page_cache.capacity_bytes = k.server_page_cache;
   harness::Testbed tb(cfg);
   tb.cache().set_round_robin_only(k.round_robin_cache);
-  for (int i = 0; i < 2; ++i) {
-    wl::MpiIoTestConfig mc;
-    mc.file_size = (2ull << 30) / scale;
-    mc.file = tb.create_file("f" + std::to_string(i), mc.file_size);
-    mc.request_size = 16 * 1024;
-    tb.add_job("job" + std::to_string(i), 64, bench::driver_for(tb, k.variant),
-               [mc](std::uint32_t) { return wl::make_mpi_io_test(mc); },
-               bench::policy_for(k.variant));
-  }
-  const std::uint64_t events = tb.run();
-  return {tb.system_throughput_mbs(), events, {}};
-}
-
-/// Section C: adaptive policy at threshold T (two concurrent mpi-io-tests).
-bench::ExperimentStats run_adaptive(double T, std::uint64_t scale) {
-  harness::TestbedConfig cfg = bench::paper_config();
-  cfg.dualpar.t_improvement = T;
-  harness::Testbed tb(cfg);
-  for (int i = 0; i < 2; ++i) {
-    wl::MpiIoTestConfig mc;
-    mc.file_size = (2ull << 30) / scale;
-    mc.file = tb.create_file("f" + std::to_string(i), mc.file_size);
-    mc.request_size = 16 * 1024;
-    tb.add_job("job" + std::to_string(i), 64, tb.dualpar(),
-               [mc](std::uint32_t) { return wl::make_mpi_io_test(mc); },
-               dualpar::Policy::kAdaptive);
-  }
-  const std::uint64_t events = tb.run();
-  return {tb.system_throughput_mbs(), events, {}};
+  const bench::Run r =
+      bench::run(tb, k.variant, bench::paper_mpi_io_test(scale), {64, 2});
+  return {r.system_mbs, r.events};
 }
 
 }  // namespace
@@ -89,10 +64,15 @@ int main(int argc, char** argv) {
 
   // Every cell is an independent experiment: submit them all up front, then
   // assemble the tables in submission order (output is byte-identical at any
-  // DPAR_JOBS).
+  // DPAR_JOBS). Sections share cells (the default DualPar and vanilla runs
+  // recur in B, D, E, F and G); each distinct knob set runs once.
   bench::ExperimentPool pool;
+  std::vector<std::pair<Knobs, std::size_t>> submitted;
   auto submit = [&](const std::string& label, const Knobs& k) {
-    return pool.submit(label, [k, scale] { return run(k, scale); });
+    for (const auto& [known, idx] : submitted)
+      if (known == k) return idx;
+    submitted.emplace_back(k, pool.submit(label, [k, scale] { return run(k, scale); }));
+    return submitted.back().second;
   };
 
   // A: CRM request transformations, knobs removed cumulatively.
@@ -129,9 +109,12 @@ int main(int argc, char** argv) {
   // C: T_improvement sensitivity (adaptive policy).
   const std::vector<double> thresholds{1.0, 3.0, 6.0, 10.0};
   std::vector<std::size_t> c_rows;
-  for (double T : thresholds)
-    c_rows.push_back(pool.submit("C T=" + std::to_string(T).substr(0, 4),
-                                 [T, scale] { return run_adaptive(T, scale); }));
+  for (double T : thresholds) {
+    Knobs k;
+    k.t_improvement = T;
+    k.variant = Variant::kAdaptive;
+    c_rows.push_back(submit("C T=" + std::to_string(T).substr(0, 4), k));
+  }
 
   // D: cache chunk / stripe unit size.
   const std::vector<std::uint64_t> chunks_kb{16, 64, 256};

@@ -15,8 +15,7 @@
 #include <tuple>
 #include <vector>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
 
@@ -36,38 +35,23 @@ constexpr FaultLevel kLevels[] = {
     {"heavy", 0.05, 0.02, 0.10},
 };
 
-struct RunResult {
-  double throughput_mbs = 0;
-  double completion_s = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t failures = 0;
-};
-
 bench::ExperimentStats run_one(bench::Variant v, const fault::FaultPlan& plan,
                                std::uint64_t scale) {
-  harness::TestbedConfig cfg = bench::paper_config();
+  harness::TestbedConfig cfg;
   cfg.keep_traces = false;
   cfg.fault = plan;
   harness::Testbed tb(cfg);
   wl::DemoConfig dc;
   dc.file_size = (2ull << 30) / scale;
-  dc.file = tb.create_file("fault.dat", dc.file_size);
   dc.segment_size = 64 * 1024;
-  mpi::Job& job = tb.add_job("fault", 16, bench::driver_for(tb, v),
-                             [dc](std::uint32_t) { return wl::make_demo(dc); },
-                             bench::policy_for(v));
-  bench::ExperimentStats st;
-  st.events = tb.run();
-  st.value = tb.job_throughput_mbs(job);
+  const bench::Run r = bench::run(tb, v, dc, {16});
   double retries = 0, failures = 0;
   if (const auto* inj = tb.fault_injector()) {
     const fault::Counters c = inj->total();
     retries = static_cast<double>(c.client_retries);
     failures = static_cast<double>(c.client_failures);
   }
-  st.aux = {sim::to_seconds(job.completion_time() - job.start_time()), retries,
-            failures};
-  return st;
+  return {r.job_mbs, r.events, {r.seconds, retries, failures}};
 }
 
 fault::FaultPlan plan_for(const FaultLevel& lv) {
@@ -88,7 +72,7 @@ int main(int argc, char** argv) {
   // every DPAR_JOBS value, so byte-diffs keep it in the comparison.
   std::printf("# plan: seed=0x%llx rf=%u\n",
               static_cast<unsigned long long>(fault::FaultPlan{}.seed),
-              bench::paper_config().replica.replication_factor);
+              harness::TestbedConfig{}.replica.replication_factor);
 
   bench::ExperimentPool pool;
 

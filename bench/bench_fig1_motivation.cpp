@@ -14,62 +14,17 @@
 // Paper shape: S2 wins at low I/O ratio (hides I/O); S3 wins above ~70%
 // (36% faster near 100%); smaller segments widen S3's advantage; S2's trace
 // shows back-and-forth head movement, S3's moves in one direction.
+#include <array>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <tuple>
+#include <vector>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
 using bench::Variant;
-
-namespace {
-
-bench::PerfLog g_perf;
-
-struct RunResult {
-  double seconds = 0;
-  std::uint64_t reversals = 0;
-  std::vector<disk::TraceEvent> trace;
-};
-
-RunResult run_demo(Variant v, std::uint64_t file_size, std::uint64_t segment,
-                   sim::Time compute_per_call, bool keep_trace = false) {
-  harness::Testbed tb(bench::paper_config());
-  wl::DemoConfig cfg;
-  cfg.file = tb.create_file("demo.dat", file_size);
-  cfg.file_size = file_size;
-  cfg.segment_size = segment;
-  cfg.compute_per_call = compute_per_call;
-  mpi::Job& job = tb.add_job("demo", 8, bench::driver_for(tb, v),
-                             [cfg](std::uint32_t) { return wl::make_demo(cfg); },
-                             bench::policy_for(v));
-  auto tm = g_perf.start(std::string(bench::variant_name(v)) + " seg=" +
-                         std::to_string(segment >> 10) + "KB");
-  const std::uint64_t events = tb.run();
-  RunResult r;
-  r.seconds = sim::to_seconds(job.completion_time() - job.start_time());
-  g_perf.finish(tm, r.seconds, events);
-  r.reversals = bench::trace_reversals(tb.server(1).trace().events());
-  if (keep_trace) {
-    // Sample a window in the middle of the run, as the paper does (5.2-5.4s).
-    const sim::Time mid = job.completion_time() / 2;
-    r.trace = tb.server(1).trace().window(mid, mid + sim::msec(200));
-  }
-  return r;
-}
-
-/// Calibrate per-call compute so the *vanilla* run has the target I/O ratio
-/// (the paper defines the ratio "in the vanilla system").
-sim::Time compute_for_ratio(double ratio, std::uint64_t file_size, std::uint64_t segment) {
-  const RunResult pure = run_demo(Variant::kVanilla, file_size, segment, 0);
-  const std::uint64_t calls_per_proc = file_size / (segment * 16 * 8);
-  const double io_per_call = pure.seconds / static_cast<double>(calls_per_proc);
-  if (ratio >= 0.999) return 0;
-  return sim::from_seconds(io_per_call * (1.0 - ratio) / ratio);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
@@ -78,16 +33,52 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(file_size >> 20),
               static_cast<unsigned long long>(scale));
 
+  // Every distinct (variant, segment, compute) simulation runs once: the
+  // 4 KB calibration is also Fig 1(a)'s S1 at 100%, and S2/S3 at 100% are
+  // the runs Fig 1(c,d) trace.
+  bench::ExperimentPool pool;
+  std::map<std::tuple<Variant, std::uint64_t, sim::Time>, std::size_t> runs;
+  auto demo = [&](Variant v, std::uint64_t segment, sim::Time compute) {
+    const auto key = std::make_tuple(v, segment, compute);
+    if (auto it = runs.find(key); it != runs.end()) return it->second;
+    const std::string label = std::string(bench::variant_name(v)) + " seg=" +
+                              std::to_string(segment >> 10) + "KB";
+    return runs[key] = pool.submit(
+               label, [=] { return bench::fig1_demo(v, file_size, segment, compute); });
+  };
+  const std::uint64_t segments_kb[] = {4, 8, 16, 32, 64, 128};
+  for (std::uint64_t kb : segments_kb) demo(Variant::kVanilla, kb * 1024, 0);
+
+  /// Per-call compute that gives the *vanilla* run the target I/O ratio (the
+  /// paper defines the ratio "in the vanilla system").
+  auto compute_for_ratio = [&](double ratio, std::uint64_t segment) -> sim::Time {
+    if (ratio >= 0.999) return 0;
+    const double pure_s = pool.value(demo(Variant::kVanilla, segment, 0));
+    const std::uint64_t calls_per_proc = file_size / (segment * 16 * 8);
+    const double io_per_call = pure_s / static_cast<double>(calls_per_proc);
+    return sim::from_seconds(io_per_call * (1.0 - ratio) / ratio);
+  };
+  // Row cells per variant S1/S2/S3, submitted before any table is printed.
+  auto row = [&](double ratio, std::uint64_t segment) {
+    const sim::Time compute = compute_for_ratio(ratio, segment);
+    return std::array<std::size_t, 3>{demo(Variant::kVanilla, segment, compute),
+                                      demo(Variant::kPreexec, segment, compute),
+                                      demo(Variant::kDualPar, segment, compute)};
+  };
+  const double ratios[] = {0.19, 0.31, 0.43, 0.72, 0.86, 1.00};
+  std::vector<std::array<std::size_t, 3>> a_rows, b_rows;
+  for (double ratio : ratios) a_rows.push_back(row(ratio, 4096));
+  for (std::uint64_t kb : segments_kb) b_rows.push_back(row(0.90, kb * 1024));
+
   {
     bench::Table t("Fig 1(a): execution time (s) vs I/O ratio, 4 KB segments");
     t.set_headers({"I/O ratio", "Strategy1", "Strategy2", "Strategy3", "S3/S1", "S3/S2"});
-    for (double ratio : {0.19, 0.31, 0.43, 0.72, 0.86, 1.00}) {
-      const sim::Time compute = compute_for_ratio(ratio, file_size, 4096);
-      const double s1 = run_demo(Variant::kVanilla, file_size, 4096, compute).seconds;
-      const double s2 = run_demo(Variant::kPreexec, file_size, 4096, compute).seconds;
-      const double s3 = run_demo(Variant::kDualPar, file_size, 4096, compute).seconds;
+    for (std::size_t i = 0; i < a_rows.size(); ++i) {
+      const double s1 = pool.value(a_rows[i][0]);
+      const double s2 = pool.value(a_rows[i][1]);
+      const double s3 = pool.value(a_rows[i][2]);
       char label[32];
-      std::snprintf(label, sizeof label, "%3.0f%%", ratio * 100);
+      std::snprintf(label, sizeof label, "%3.0f%%", ratios[i] * 100);
       t.add_row(label, {s1, s2, s3, s3 / s1, s3 / s2}, 2);
     }
     t.add_note("paper: S2 best at low ratios; crossover ~70%; S3 ~36% faster than "
@@ -98,14 +89,13 @@ int main(int argc, char** argv) {
   {
     bench::Table t("Fig 1(b): execution time (s) vs segment size, ~90% I/O ratio");
     t.set_headers({"segment", "Strategy1", "Strategy2", "Strategy3", "S3/S2"});
-    for (std::uint64_t seg : {4u, 8u, 16u, 32u, 64u, 128u}) {
-      const std::uint64_t bytes = seg * 1024;
-      const sim::Time compute = compute_for_ratio(0.90, file_size, bytes);
-      const double s1 = run_demo(Variant::kVanilla, file_size, bytes, compute).seconds;
-      const double s2 = run_demo(Variant::kPreexec, file_size, bytes, compute).seconds;
-      const double s3 = run_demo(Variant::kDualPar, file_size, bytes, compute).seconds;
+    for (std::size_t i = 0; i < b_rows.size(); ++i) {
+      const double s1 = pool.value(b_rows[i][0]);
+      const double s2 = pool.value(b_rows[i][1]);
+      const double s3 = pool.value(b_rows[i][2]);
       char label[32];
-      std::snprintf(label, sizeof label, "%lluKB", static_cast<unsigned long long>(seg));
+      std::snprintf(label, sizeof label, "%lluKB",
+                    static_cast<unsigned long long>(segments_kb[i]));
       t.add_row(label, {s1, s2, s3, s3 / s2}, 2);
     }
     t.add_note("paper: S3's advantage largest at 4 KB (S2 at 64% of S3's "
@@ -114,18 +104,19 @@ int main(int argc, char** argv) {
   }
 
   {
-    const RunResult s2 = run_demo(Variant::kPreexec, file_size, 4096, 0, true);
-    const RunResult s3 = run_demo(Variant::kDualPar, file_size, 4096, 0, true);
+    const bench::ExperimentStats& s2 = pool.record(a_rows.back()[1]).stats;
+    const bench::ExperimentStats& s3 = pool.record(a_rows.back()[2]).stats;
+    using Trace = std::vector<disk::TraceEvent>;
     bench::print_trace_sample("Fig 1(c): Strategy 2 service order on server 1",
-                              s2.trace);
+                              std::any_cast<const Trace&>(s2.detail));
     bench::print_trace_sample("Fig 1(d): Strategy 3 service order on server 1",
-                              s3.trace);
+                              std::any_cast<const Trace&>(s3.detail));
     std::printf("\nfull-run direction reversals on server 1: Strategy2=%llu "
                 "Strategy3=%llu (paper: S2 shows back-and-forth movement, S3 "
                 "moves in one direction)\n",
-                static_cast<unsigned long long>(s2.reversals),
-                static_cast<unsigned long long>(s3.reversals));
+                static_cast<unsigned long long>(s2.aux[0]),
+                static_cast<unsigned long long>(s3.aux[0]));
   }
-  g_perf.write("bench_fig1_motivation");
+  bench::write_perf_json("bench_fig1_motivation", pool);
   return 0;
 }

@@ -11,57 +11,13 @@
 //   writes: mpi-io-test: DualPar ~2x vanilla; ior: +35% over vanilla
 // Expected shape: DualPar highest everywhere; collective helps noncontig a
 // lot, mpi-io-test little, ior-mpi-io not at all.
+#include <array>
 #include <cstdio>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
 using bench::Variant;
-
-namespace {
-
-bench::ExperimentStats run_workload(const std::string& which, bool is_write,
-                                    Variant v, std::uint64_t scale) {
-  harness::Testbed tb(bench::paper_config());
-  const std::uint32_t procs = 64;
-  mpi::Job::ProgramFactory factory;
-
-  if (which == "mpi-io-test") {
-    wl::MpiIoTestConfig cfg;
-    cfg.file_size = (2ull << 30) / scale;
-    cfg.file = tb.create_file("mpiio.dat", cfg.file_size);
-    cfg.request_size = 16 * 1024;
-    cfg.is_write = is_write;
-    cfg.collective = (v == Variant::kCollective);
-    factory = [cfg](std::uint32_t) { return wl::make_mpi_io_test(cfg); };
-  } else if (which == "noncontig") {
-    wl::NoncontigConfig cfg;
-    cfg.columns = 64;
-    cfg.elmt_count = 128;  // 512-byte elements
-    cfg.rows = (1ull << 30) / scale / (cfg.columns * cfg.elmt_count * 4);
-    cfg.is_write = is_write;
-    cfg.collective = (v == Variant::kCollective);
-    const std::uint64_t fsize = cfg.columns * cfg.elmt_count * 4 * cfg.rows;
-    cfg.file = tb.create_file("noncontig.dat", fsize);
-    factory = [cfg](std::uint32_t) { return wl::make_noncontig(cfg); };
-  } else {  // ior-mpi-io
-    wl::IorConfig cfg;
-    cfg.file_size = (16ull << 30) / scale;
-    cfg.file = tb.create_file("ior.dat", cfg.file_size);
-    cfg.request_size = 32 * 1024;
-    cfg.is_write = is_write;
-    cfg.collective = (v == Variant::kCollective);
-    factory = [cfg](std::uint32_t) { return wl::make_ior(cfg); };
-  }
-
-  mpi::Job& job = tb.add_job(which, procs, bench::driver_for(tb, v), factory,
-                             bench::policy_for(v));
-  const std::uint64_t events = tb.run();
-  return {tb.job_throughput_mbs(job), events, {}};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
@@ -70,18 +26,14 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> workloads{"mpi-io-test", "noncontig", "ior-mpi-io"};
   bench::ExperimentPool pool;
-  // runs[is_write][workload][variant]
-  std::size_t runs[2][3][3];
+  std::array<std::size_t, 3> runs[2][3];  // [is_write][workload]
   for (bool is_write : {false, true})
-    for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-      std::size_t vi = 0;
-      for (Variant v : {Variant::kVanilla, Variant::kCollective, Variant::kDualPar})
-        runs[is_write][wi][vi++] = pool.submit(
-            workloads[wi] + (is_write ? " write " : " read ") + bench::variant_name(v),
-            [w = workloads[wi], is_write, v, scale] {
-              return run_workload(w, is_write, v, scale);
-            });
-    }
+    for (std::size_t wi = 0; wi < workloads.size(); ++wi)
+      runs[is_write][wi] = bench::submit_row(
+          pool, workloads[wi] + (is_write ? " write" : " read"),
+          [w = workloads[wi], is_write, scale](Variant v) {
+            return bench::fig3_single(w, is_write, v, scale);
+          });
 
   for (bool is_write : {false, true}) {
     bench::Table t(is_write ? "Fig 3(b): system WRITE throughput (MB/s)"

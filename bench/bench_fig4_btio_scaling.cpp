@@ -8,39 +8,10 @@
 #include <array>
 #include <cstdio>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
 using bench::Variant;
-
-namespace {
-
-bench::ExperimentStats run_btio(std::uint32_t procs, Variant v, std::uint64_t scale) {
-  harness::Testbed tb(bench::paper_config());
-  const std::uint32_t instances = 3;
-  // Class C is 6.8 GB per instance; tiny vanilla requests make full scale
-  // infeasible to simulate, so the data volume is scaled further for this
-  // bench while request sizes stay exact (10240/procs bytes).
-  const std::uint64_t per_instance = (6800ull << 20) / scale / 16;
-  std::vector<mpi::Job*> jobs;
-  for (std::uint32_t i = 0; i < instances; ++i) {
-    wl::BtioConfig cfg;
-    cfg.total_bytes = per_instance;
-    cfg.write_steps = 10;
-    cfg.read_back = true;
-    cfg.collective = (v == Variant::kCollective);
-    cfg.file = tb.create_file("btio" + std::to_string(i), cfg.total_bytes * 2);
-    jobs.push_back(&tb.add_job("btio" + std::to_string(i), procs,
-                               bench::driver_for(tb, v),
-                               [cfg](std::uint32_t) { return wl::make_btio(cfg); },
-                               bench::policy_for(v)));
-  }
-  const std::uint64_t events = tb.run();
-  return {tb.system_throughput_mbs(), events, {}};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
@@ -49,15 +20,11 @@ int main(int argc, char** argv) {
   bench::ExperimentPool pool;
   const std::vector<std::uint32_t> proc_counts{16, 64, 256};
   std::vector<std::array<std::size_t, 3>> runs;
-  for (std::uint32_t procs : proc_counts) {
-    std::array<std::size_t, 3> row{};
-    std::size_t i = 0;
-    for (Variant v : {Variant::kVanilla, Variant::kCollective, Variant::kDualPar})
-      row[i++] = pool.submit(
-          std::string(bench::variant_name(v)) + " procs=" + std::to_string(procs),
-          [procs, v, scale] { return run_btio(procs, v, scale); });
-    runs.push_back(row);
-  }
+  for (std::uint32_t procs : proc_counts)
+    runs.push_back(bench::submit_row(pool, "procs=" + std::to_string(procs),
+                                     [procs, scale](Variant v) {
+                                       return bench::fig4_btio(procs, v, scale);
+                                     }));
   bench::Table t("Fig 4: system I/O throughput (MB/s), 3 concurrent BTIO");
   t.set_headers({"procs", "vanilla", "collective", "DualPar", "coll/vanilla",
                  "DP/vanilla"});

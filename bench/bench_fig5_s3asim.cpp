@@ -5,71 +5,43 @@
 // Paper shape: DualPar's I/O times are smaller by up to 25% (17% on
 // average); the advantage is modest because S3asim's requests are much
 // larger than BTIO's.
+#include <array>
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
 using bench::Variant;
-
-namespace {
-
-bench::PerfLog g_perf;
-
-double run_s3asim(std::uint32_t queries, Variant v, std::uint64_t scale) {
-  harness::Testbed tb(bench::paper_config());
-  const std::uint32_t instances = 3;
-  const std::uint32_t procs = 16;
-  for (std::uint32_t i = 0; i < instances; ++i) {
-    wl::S3asimConfig cfg;
-    cfg.database_size = (4ull << 30) / scale;
-    cfg.fragments = 16;
-    cfg.queries = queries;
-    cfg.min_size = 100;
-    cfg.max_size = 100'000;
-    cfg.seed = 17 + i;
-    cfg.database_file = tb.create_file("db" + std::to_string(i), cfg.database_size);
-    cfg.result_file = tb.create_file(
-        "res" + std::to_string(i),
-        std::uint64_t{procs} * cfg.queries * cfg.max_size + (1 << 20));
-    tb.add_job("s3asim" + std::to_string(i), procs, bench::driver_for(tb, v),
-               [cfg](std::uint32_t) { return wl::make_s3asim(cfg); },
-               bench::policy_for(v));
-  }
-  auto tm = g_perf.start(std::string(bench::variant_name(v)) + " q=" +
-                         std::to_string(queries));
-  const std::uint64_t events = tb.run();
-  const double io_s = tb.total_io_time_s();
-  g_perf.finish(tm, io_s, events);
-  return io_s;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
   std::printf("Figure 5 reproduction (3 concurrent S3asim, 16 procs each, "
               "scale 1/%llu)\n", static_cast<unsigned long long>(scale));
+  bench::ExperimentPool pool;
+  const std::uint32_t query_counts[] = {16, 24, 32};
+  std::vector<std::array<std::size_t, 3>> runs;
+  for (std::uint32_t q : query_counts)
+    runs.push_back(bench::submit_row(
+        pool, "q=" + std::to_string(q),
+        [q, scale](Variant v) { return bench::fig5_s3asim(q, v, scale); }));
   bench::Table t("Fig 5: total I/O time (s) vs #queries, 3 concurrent S3asim");
   t.set_headers({"queries", "vanilla", "collective", "DualPar", "DP saving vs best"});
   double savings = 0;
-  int n = 0;
-  for (std::uint32_t q : {16u, 24u, 32u}) {
-    const double a = run_s3asim(q, Variant::kVanilla, scale);
-    const double b = run_s3asim(q, Variant::kCollective, scale);
-    const double c = run_s3asim(q, Variant::kDualPar, scale);
-    const double best_other = std::min(a, b);
-    const double save = 1.0 - c / best_other;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const double a = pool.value(runs[i][0]);
+    const double b = pool.value(runs[i][1]);
+    const double c = pool.value(runs[i][2]);
+    const double save = 1.0 - c / std::min(a, b);
     savings += save;
-    ++n;
-    t.add_row(std::to_string(q), {a, b, c, save * 100.0}, 1);
+    t.add_row(std::to_string(query_counts[i]), {a, b, c, save * 100.0}, 1);
   }
   t.add_note("paper: DualPar I/O times smaller by up to 25%, 17% on average "
              "(modest: S3asim's requests are large)");
   t.print();
   std::printf("mean DualPar I/O-time saving: %.0f%% (paper: 17%%)\n",
-              savings / n * 100.0);
-  g_perf.write("bench_fig5_s3asim");
+              savings / static_cast<double>(runs.size()) * 100.0);
+  bench::write_perf_json("bench_fig5_s3asim", pool);
   return 0;
 }

@@ -12,78 +12,22 @@
 // server 1 per second — for both the vanilla baseline and DualPar.
 #include <cstdio>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
 using bench::Variant;
 
 namespace {
 
-bench::PerfLog g_perf;
-
-struct Timeline {
-  sim::TimeSeries throughput;
-  sim::TimeSeries seek;
-  std::uint64_t mode_switches = 0;
-  double join_time_s = 0;
-  double phase1_mbs = 0, phase2_mbs = 0;
-};
-
-Timeline run(bool use_dualpar, std::uint64_t scale) {
-  harness::Testbed tb(bench::paper_config());
-  // Sized so the solo phase lasts well past the join point at every scale.
-  const std::uint64_t fsize = (24ull << 30) / scale;
-  const sim::Time join_at = sim::secs(5);
-
-  wl::MpiIoTestConfig mc;
-  mc.file = tb.create_file("mpiio.dat", fsize);
-  mc.file_size = fsize;
-  mc.request_size = 16 * 1024;
-  // The benchmark's per-call barrier also bounds how far ranks drift apart,
-  // which keeps the solo phase's service order sequential — the reason EMC
-  // leaves the lone program in computation-driven mode.
-  mc.barrier_every_call = true;
-
-  wl::HpioConfig hc;
-  hc.region_size = 16 * 1024;
-  hc.region_spacing = 0;
-  hc.regions_per_call = 1;
-  hc.region_count = fsize / 64 / hc.region_size;  // 64 ranks cover the file
-  hc.file = tb.create_file("hpio.dat", fsize);
-
-  mpi::IoDriver& drv = use_dualpar ? static_cast<mpi::IoDriver&>(tb.dualpar())
-                                   : static_cast<mpi::IoDriver&>(tb.vanilla());
-  const auto policy =
-      use_dualpar ? dualpar::Policy::kAdaptive : dualpar::Policy::kForcedNormal;
-  auto& j1 = tb.add_job("mpi-io-test", 64, drv,
-                        [mc](std::uint32_t) { return wl::make_mpi_io_test(mc); }, policy);
-  tb.add_job("hpio", 64, drv, [hc](std::uint32_t) { return wl::make_hpio(hc); },
-             policy, join_at);
-  auto tm = g_perf.start(use_dualpar ? "DualPar adaptive" : "vanilla MPI-IO");
-  const std::uint64_t events = tb.run();
-
-  Timeline out;
-  out.throughput = tb.monitor().throughput_series();
-  out.seek = tb.monitor().seek_series();
-  out.mode_switches = tb.emc().mode_switches();
-  out.join_time_s = sim::to_seconds(join_at);
-  out.phase1_mbs = metrics::series_mean(out.throughput, sim::secs(1), join_at);
-  out.phase2_mbs = metrics::series_mean(out.throughput, join_at + sim::secs(1),
-                                        join_at + sim::secs(60));
-  (void)j1;
-  g_perf.finish(tm, out.phase2_mbs, events);
-  return out;
-}
-
-void print_timeline(const char* name, const Timeline& t) {
+void print_timeline(const char* name, const bench::Timeline& t) {
+  const double join_s = sim::to_seconds(bench::kFig7JoinAt);
   std::printf("\n-- %s --\n", name);
   std::printf("  %6s  %14s  %16s\n", "t(s)", "MB/s", "seek(sectors)");
   for (std::size_t i = 0; i < t.throughput.points.size(); ++i) {
     const double secs = sim::to_seconds(t.throughput.points[i].first);
     const double seek = i < t.seek.points.size() ? t.seek.points[i].second : 0;
     std::printf("  %6.0f  %14.1f  %16.0f%s\n", secs, t.throughput.points[i].second,
-                seek, secs == t.join_time_s ? "   <- hpio joins" : "");
+                seek, secs == join_s ? "   <- hpio joins" : "");
   }
 }
 
@@ -94,24 +38,33 @@ int main(int argc, char** argv) {
   std::printf("Figure 7 reproduction (hpio joins mpi-io-test at t=5s, "
               "scale 1/%llu)\n", static_cast<unsigned long long>(scale));
 
-  const Timeline vanilla = run(false, scale);
-  const Timeline dualpar = run(true, scale);
-  print_timeline("Fig 7(a)/(b) timeline: vanilla MPI-IO", vanilla);
-  print_timeline("Fig 7(a)/(b) timeline: DualPar (adaptive)", dualpar);
+  bench::ExperimentPool pool;
+  const std::size_t runs[] = {
+      pool.submit("vanilla MPI-IO",
+                  [scale] { return bench::fig7_join(Variant::kVanilla, scale); }),
+      pool.submit("DualPar adaptive",
+                  [scale] { return bench::fig7_join(Variant::kAdaptive, scale); })};
+  const bench::ExperimentStats& vanilla = pool.record(runs[0]).stats;
+  const bench::ExperimentStats& dualpar = pool.record(runs[1]).stats;
+  print_timeline("Fig 7(a)/(b) timeline: vanilla MPI-IO",
+                 std::any_cast<const bench::Timeline&>(vanilla.detail));
+  print_timeline("Fig 7(a)/(b) timeline: DualPar (adaptive)",
+                 std::any_cast<const bench::Timeline&>(dualpar.detail));
 
+  // value = MB/s after the join; aux[0] = MB/s before it.
   bench::Table t("Fig 7 summary");
   t.set_headers({"phase", "vanilla MB/s", "DualPar MB/s", "gain"});
-  t.add_row("solo (t<5s)", {vanilla.phase1_mbs, dualpar.phase1_mbs,
-                            dualpar.phase1_mbs / vanilla.phase1_mbs}, 2);
-  t.add_row("interfering", {vanilla.phase2_mbs, dualpar.phase2_mbs,
-                            dualpar.phase2_mbs / vanilla.phase2_mbs}, 2);
+  t.add_row("solo (t<5s)",
+            {vanilla.aux[0], dualpar.aux[0], dualpar.aux[0] / vanilla.aux[0]}, 2);
+  t.add_row("interfering", {vanilla.value, dualpar.value, dualpar.value / vanilla.value},
+            2);
   t.add_note("paper: DualPar matches vanilla while mpi-io-test runs alone "
              "(stays computation-driven), then +46% once hpio joins; seek "
              "distances drop when data-driven mode engages");
   t.print();
   std::printf("EMC mode switches during the DualPar run: %llu (expect >= 2: "
               "both jobs flip to data-driven after t=5s)\n",
-              static_cast<unsigned long long>(dualpar.mode_switches));
-  g_perf.write("bench_fig7_adaptive");
+              static_cast<unsigned long long>(dualpar.aux[1]));
+  bench::write_perf_json("bench_fig7_adaptive", pool);
   return 0;
 }

@@ -6,38 +6,9 @@
 // diminishing returns.
 #include <cstdio>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
-using bench::Variant;
-
-namespace {
-
-bench::ExperimentStats run_btio(std::uint64_t quota, std::uint64_t scale) {
-  harness::TestbedConfig cfg = bench::paper_config();
-  // 0 KB means "DualPar disabled": the run uses the vanilla driver below,
-  // and the config keeps its (unused) default quota.
-  if (quota > 0) cfg.dualpar.cache_quota = quota;
-  harness::Testbed tb(cfg);
-  wl::BtioConfig bc;
-  bc.total_bytes = (6800ull << 20) / scale / 16;
-  bc.write_steps = 10;
-  bc.read_back = true;
-  bc.file = tb.create_file("btio.dat", bc.total_bytes * 2);
-  mpi::Job& job =
-      quota == 0
-          ? tb.add_job("btio", 64, tb.vanilla(),
-                       [bc](std::uint32_t) { return wl::make_btio(bc); },
-                       dualpar::Policy::kForcedNormal)
-          : tb.add_job("btio", 64, tb.dualpar(),
-                       [bc](std::uint32_t) { return wl::make_btio(bc); },
-                       dualpar::Policy::kForcedDataDriven);
-  const std::uint64_t events = tb.run();
-  return {tb.job_throughput_mbs(job), events, {}};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
@@ -47,8 +18,9 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> kbs{0, 64, 128, 256, 512, 1024};
   std::vector<std::size_t> runs;
   for (std::uint64_t kb : kbs)
-    runs.push_back(pool.submit("quota=" + std::to_string(kb) + "KB",
-                               [kb, scale] { return run_btio(kb * 1024, scale); }));
+    runs.push_back(pool.submit("quota=" + std::to_string(kb) + "KB", [kb, scale] {
+      return bench::fig8_btio(kb * 1024, scale);
+    }));
   bench::Table t("Fig 8: BTIO system I/O throughput (MB/s) vs per-process cache");
   t.set_headers({"cache (KB)", "MB/s", "vs 0 KB"});
   double base = 0;

@@ -379,11 +379,10 @@ BENCHMARK(BM_StripeDecompose);
 /// The frozen per-chunk reference loop on the same segment, for a direct
 /// closed-form-vs-loop comparison in one report.
 void BM_StripeDecomposeRef(benchmark::State& state) {
-  pfs::StripeLayout layout{64 * 1024, 9};
-  layout.reference_decompose = true;
+  const pfs::StripeLayout layout{64 * 1024, 9};
   for (auto _ : state) {
     std::vector<std::vector<pfs::ServerRun>> per_server;
-    pfs::decompose_segment(layout, pfs::Segment{12345, 8 << 20}, per_server);
+    pfs::decompose_segment_reference(layout, pfs::Segment{12345, 8 << 20}, per_server);
     benchmark::DoNotOptimize(per_server.size());
   }
 }
@@ -417,7 +416,7 @@ BENCHMARK(BM_EndToEndMpiIoTest)->Unit(benchmark::kMillisecond);
 void BM_VanillaSmallPieces(benchmark::State& state) {
   std::uint64_t requests = 0;
   for (auto _ : state) {
-    harness::TestbedConfig cfg = bench::paper_config();
+    harness::TestbedConfig cfg;
     cfg.keep_traces = false;
     harness::Testbed tb(cfg);
     wl::HpioConfig hc;
@@ -448,7 +447,7 @@ BENCHMARK(BM_VanillaSmallPieces)->Unit(benchmark::kMillisecond);
 void BM_CollectiveRound(benchmark::State& state) {
   std::uint64_t rounds = 0;
   for (auto _ : state) {
-    harness::TestbedConfig cfg = bench::paper_config();
+    harness::TestbedConfig cfg;
     cfg.keep_traces = false;
     harness::Testbed tb(cfg);
     wl::BtioConfig bc;
@@ -478,7 +477,7 @@ BENCHMARK(BM_CollectiveRound)->Unit(benchmark::kMillisecond);
 void BM_RepairThroughput(benchmark::State& state) {
   std::uint64_t last_bytes = 0;
   for (auto _ : state) {
-    harness::TestbedConfig cfg = bench::paper_config();
+    harness::TestbedConfig cfg;
     cfg.keep_traces = false;
     cfg.replica.replication_factor = 3;
     cfg.replica.repair_bandwidth = 400e6;  // let repair, not the cap, dominate

@@ -18,9 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "harness.hpp"
+#include "figures.hpp"
 #include "metrics/replica_report.hpp"
-#include "wl/workloads.hpp"
 
 using namespace dpar;
 
@@ -30,14 +29,6 @@ constexpr replica::Placement kPlacements[] = {
     replica::Placement::kNodeLocal,
     replica::Placement::kRotational,
     replica::Placement::kRackAware,
-};
-
-struct CellResult {
-  double write_p50 = 0, write_p99 = 0;  ///< microseconds
-  double read_p50 = 0, read_p99 = 0;
-  double degraded = 0, failover = 0;
-  double repair_done = 0, repair_issued = 0, repair_mb = 0;
-  double under_now = 0, lost = 0;
 };
 
 /// aux layout of one experiment (indices into ExperimentStats::aux).
@@ -50,7 +41,7 @@ enum Aux {
 bench::ExperimentStats run_one(std::uint32_t rf, replica::Placement placement,
                                replica::WriteFanout fanout, bool crash,
                                std::uint64_t scale) {
-  harness::TestbedConfig cfg = bench::paper_config();
+  harness::TestbedConfig cfg;
   cfg.keep_traces = false;
   cfg.replica.replication_factor = rf;
   cfg.replica.placement = placement;
@@ -65,19 +56,15 @@ bench::ExperimentStats run_one(std::uint32_t rf, replica::Placement placement,
         {/*server=*/4, sim::msec(30), sim::msec(480)});
   }
   harness::Testbed tb(cfg);
-  mpi::IoDriver& drv = bench::driver_for(tb, bench::Variant::kVanilla);
-  const dualpar::Policy pol = bench::policy_for(bench::Variant::kVanilla);
-  mpi::Job* job;
+  bench::Run r;
   if (crash) {
     // Crash cells read throughout the run: a read whose primary is down
     // blocks until it fails over (or the server restarts), so the workload
     // is guaranteed to overlap the outage and exercise degraded reads.
     wl::DemoConfig dc;
     dc.file_size = (1ull << 30) / scale;
-    dc.file = tb.create_file("replica.dat", dc.file_size);
     dc.segment_size = 64 * 1024;
-    job = &tb.add_job("replica", 16, drv,
-                      [dc](std::uint32_t) { return wl::make_demo(dc); }, pol);
+    r = bench::run(tb, bench::Variant::kVanilla, dc, {16});
   } else {
     // Clean cells run BTIO (write steps + read-back): the writes pay the
     // rf-way fan-out this table prices.
@@ -85,21 +72,16 @@ bench::ExperimentStats run_one(std::uint32_t rf, replica::Placement placement,
     bc.total_bytes = (1ull << 30) / scale;
     bc.row_bytes = 1 << 20;  // 64 KB per rank per row, not BT's tiny cells
     bc.write_steps = 5;
-    bc.read_back = true;
-    bc.file = tb.create_file("replica.dat", bc.total_bytes * 2);
-    job = &tb.add_job("replica", 16, drv,
-                      [bc](std::uint32_t) { return wl::make_btio(bc); }, pol);
+    r = bench::run(tb, bench::Variant::kVanilla, bc, {16});
   }
-  bench::ExperimentStats st;
-  st.events = tb.run();
-  st.value = tb.job_throughput_mbs(*job);
-  const sim::Histogram w = job->write_latency();
-  const sim::Histogram r = job->read_latency();
+  bench::ExperimentStats st(r.job_mbs, r.events);
+  const sim::Histogram w = r.job->write_latency();
+  const sim::Histogram rd = r.job->read_latency();
   st.aux.assign(kAuxCount, 0.0);
   st.aux[kWriteP50] = w.percentile(0.50);
   st.aux[kWriteP99] = w.percentile(0.99);
-  st.aux[kReadP50] = r.percentile(0.50);
-  st.aux[kReadP99] = r.percentile(0.99);
+  st.aux[kReadP50] = rd.percentile(0.50);
+  st.aux[kReadP99] = rd.percentile(0.99);
   if (replica::RepairManager* mgr = tb.replica_manager()) {
     const replica::DurabilityReport rep = mgr->report();
     st.aux[kDegraded] = static_cast<double>(rep.counters.degraded_reads);

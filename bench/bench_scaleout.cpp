@@ -15,9 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "harness.hpp"
+#include "figures.hpp"
 #include "sim/rng.hpp"
-#include "wl/workloads.hpp"
 
 using namespace dpar;
 using bench::Variant;
@@ -27,7 +26,7 @@ namespace {
 constexpr std::size_t kSkipped = static_cast<std::size_t>(-1);
 
 harness::TestbedConfig scaleout_config(std::uint32_t servers, std::uint32_t nodes) {
-  harness::TestbedConfig cfg = bench::paper_config();
+  harness::TestbedConfig cfg;
   cfg.data_servers = servers;
   cfg.compute_nodes = nodes;
   cfg.keep_traces = false;  // full event lists are prohibitive at 256 servers
@@ -45,19 +44,15 @@ bench::ExperimentStats run_ior(std::uint32_t servers, std::uint32_t nodes,
   // aggressive DPAR_SCALE divisors.
   cfg.request_size = std::max<std::uint64_t>(
       4096, std::min<std::uint64_t>(64 * 1024, file_size / procs));
-  cfg.file = tb.create_file("ior", cfg.file_size);
-  tb.add_job("ior", procs, bench::driver_for(tb, v),
-             [cfg](std::uint32_t) { return wl::make_ior(cfg); },
-             bench::policy_for(v));
-  const std::uint64_t events = tb.run();
-  return {tb.system_throughput_mbs(), events, {}};
+  const bench::Run r = bench::run(tb, v, cfg, {procs});
+  return {r.system_mbs, r.events};
 }
 
 /// One decomposition sweep point: `iters` randomized segments against a
 /// layout of `servers` servers, per-server share held constant (64 stripes
-/// per server per segment), on either the closed form or the frozen loop.
-/// The headline value and the run/byte totals are identical for both paths
-/// (that is the differential guarantee); only the wall time differs.
+/// per server per segment), on either the closed form or the frozen
+/// per-chunk reference loop. The run/byte totals are identical for both
+/// paths (that is the differential guarantee); only the wall time differs.
 struct DecomposeTotals {
   std::uint64_t runs = 0;
   std::uint64_t bytes = 0;
@@ -65,8 +60,7 @@ struct DecomposeTotals {
 
 DecomposeTotals run_decompose(std::uint32_t servers, std::uint64_t iters,
                               bool reference) {
-  pfs::StripeLayout layout{64 * 1024, servers};
-  layout.reference_decompose = reference;
+  const pfs::StripeLayout layout{64 * 1024, servers};
   const std::uint64_t span = layout.unit_bytes * servers * 64;  // 64 units/server
   const std::uint64_t extent = span * 16;
   pfs::DecomposeScratch scratch;
@@ -75,8 +69,19 @@ DecomposeTotals run_decompose(std::uint32_t servers, std::uint64_t iters,
     // Unaligned offsets and lengths; edge-straddling by construction.
     const std::uint64_t offset = sim::splitmix64(i * 2 + 1) % extent;
     const std::uint64_t length = 1 + sim::splitmix64(i * 2 + 2) % span;
+    const pfs::Segment seg{offset, length};
+    if (reference) {
+      // The reference keeps no touched list: clear and count every server.
+      for (auto& runs : scratch.per_server) runs.clear();
+      decompose_segment_reference(layout, seg, scratch.per_server);
+      for (const auto& runs : scratch.per_server) {
+        totals.runs += runs.size();
+        for (const auto& r : runs) totals.bytes += r.length;
+      }
+      continue;
+    }
     scratch.reset(servers);
-    decompose_segment(layout, pfs::Segment{offset, length}, scratch);
+    decompose_segment(layout, seg, scratch);
     for (std::uint32_t s : scratch.touched) {
       totals.runs += scratch.per_server[s].size();
       for (const auto& r : scratch.per_server[s]) totals.bytes += r.length;
@@ -168,7 +173,8 @@ int main(int argc, char** argv) {
   // Decomposition-heavy weak scaling: closed form vs the frozen reference
   // loop, per-server share constant. Timed inline (pure CPU, no simulator);
   // totals must match exactly — the bench doubles as a differential check.
-  bench::PerfLog log;
+  // Perf entries beyond the pool's: decomposition timings and peak RSS.
+  std::vector<metrics::PerfEntry> extra;
   bench::Table dt("Striping decomposition: closed form vs reference loop");
   dt.set_headers({"servers", "segments", "runs", "bytes", "match"});
   for (std::uint32_t s : {9u, 64u, 256u}) {
@@ -186,11 +192,11 @@ int main(int argc, char** argv) {
     double closed_wall = 0, ref_wall = 0;
     const DecomposeTotals closed = bench::timed_median(
         closed_wall, [&] { return run_decompose(s, iters, /*reference=*/false); });
-    log.add(closed_label, static_cast<double>(closed.runs), closed.runs,
-            closed_wall);
+    extra.push_back({closed_label, static_cast<double>(closed.runs), closed.runs,
+                     closed_wall});
     const DecomposeTotals ref = bench::timed_median(
         ref_wall, [&] { return run_decompose(s, iters, /*reference=*/true); });
-    log.add(ref_label, static_cast<double>(ref.runs), ref.runs, ref_wall);
+    extra.push_back({ref_label, static_cast<double>(ref.runs), ref.runs, ref_wall});
     const bool match = closed.runs == ref.runs && closed.bytes == ref.bytes;
     dt.add_text_row(std::to_string(s),
                     {std::to_string(iters), std::to_string(closed.runs),
@@ -203,17 +209,8 @@ int main(int argc, char** argv) {
   dt.add_note("closed/ref wall times and speedups are in the perf report");
   dt.print();
 
-  // Merge everything into one perf section: pool records, the inline
-  // decomposition timings, and the process peak RSS.
-  const std::vector<bench::ExperimentRecord>& records = pool.wait_all();
-  std::vector<metrics::PerfEntry> entries;
-  for (const auto& r : records)
-    entries.push_back(metrics::PerfEntry{r.label, r.stats.value, r.stats.events,
-                                         r.wall_s});
-  log.append_to(entries);
-  entries.push_back(metrics::PerfEntry{
+  extra.push_back(metrics::PerfEntry{
       "peak_rss_mb", static_cast<double>(bench::peak_rss_bytes()) / 1e6, 0, 0});
-  bench::write_perf_json("bench_scaleout", entries, pool.suite_wall_s(),
-                         pool.jobs());
+  bench::write_perf_json("bench_scaleout", pool, std::move(extra));
   return 0;
 }

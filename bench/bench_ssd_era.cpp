@@ -6,47 +6,27 @@
 // how much of the benefit survives. Expected: vanilla recovers massively on
 // the small-random workloads, and DualPar's advantage shrinks toward its
 // residual sources (request-count reduction and round-trip batching).
+#include <array>
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
 using bench::Variant;
 
 namespace {
 
-bench::PerfLog g_perf;
-
-double run(const std::string& workload, Variant v, bool ssd, std::uint64_t scale) {
-  harness::TestbedConfig cfg = bench::paper_config();
+bench::ExperimentStats run(const std::string& workload, Variant v, bool ssd,
+                           std::uint64_t scale) {
+  harness::TestbedConfig cfg;
   if (ssd) cfg.disk = disk::ssd_params();
   harness::Testbed tb(cfg);
-  mpi::Job::ProgramFactory factory;
-  if (workload == "mpi-io-test") {
-    wl::MpiIoTestConfig c;
-    c.file_size = (2ull << 30) / scale;
-    c.file = tb.create_file("f", c.file_size);
-    c.request_size = 16 * 1024;
-    c.collective = (v == Variant::kCollective);
-    factory = [c](std::uint32_t) { return wl::make_mpi_io_test(c); };
-  } else {  // noncontig
-    wl::NoncontigConfig c;
-    c.columns = 64;
-    c.elmt_count = 128;
-    c.rows = (1ull << 30) / scale / (c.columns * c.elmt_count * 4);
-    c.collective = (v == Variant::kCollective);
-    c.file = tb.create_file("f", c.columns * c.elmt_count * 4 * c.rows);
-    factory = [c](std::uint32_t) { return wl::make_noncontig(c); };
-  }
-  mpi::Job& job = tb.add_job(workload, 64, bench::driver_for(tb, v), factory,
-                             bench::policy_for(v));
-  auto tm = g_perf.start(workload + (ssd ? " SSD " : " disk ") +
-                         bench::variant_name(v));
-  const std::uint64_t events = tb.run();
-  const double mbs = tb.job_throughput_mbs(job);
-  g_perf.finish(tm, mbs, events);
-  return mbs;
+  const bench::Run r = workload == "mpi-io-test"
+                           ? bench::run(tb, v, bench::paper_mpi_io_test(scale))
+                           : bench::run(tb, v, bench::paper_noncontig(scale));
+  return {r.job_mbs, r.events};
 }
 
 }  // namespace
@@ -55,13 +35,24 @@ int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
   std::printf("Extension: DualPar on SSD-backed servers (scale 1/%llu)\n",
               static_cast<unsigned long long>(scale));
-  for (const std::string w : {"mpi-io-test", "noncontig"}) {
-    bench::Table t(w + " read throughput (MB/s): 7200-RPM RAID vs SSD servers");
+  bench::ExperimentPool pool;
+  const std::string workloads[] = {"mpi-io-test", "noncontig"};
+  std::vector<std::array<std::size_t, 3>> runs;  // per (workload, medium)
+  for (const std::string& w : workloads)
+    for (bool ssd : {false, true})
+      runs.push_back(bench::submit_row(pool, w + (ssd ? " SSD" : " disk"),
+                                       [w, ssd, scale](Variant v) {
+                                         return run(w, v, ssd, scale);
+                                       }));
+  for (std::size_t wi = 0; wi < 2; ++wi) {
+    bench::Table t(workloads[wi] +
+                   " read throughput (MB/s): 7200-RPM RAID vs SSD servers");
     t.set_headers({"medium", "vanilla", "collective", "DualPar", "DP/vanilla"});
     for (bool ssd : {false, true}) {
-      const double a = run(w, Variant::kVanilla, ssd, scale);
-      const double b = run(w, Variant::kCollective, ssd, scale);
-      const double c = run(w, Variant::kDualPar, ssd, scale);
+      const auto& row = runs[wi * 2 + ssd];
+      const double a = pool.value(row[0]);
+      const double b = pool.value(row[1]);
+      const double c = pool.value(row[2]);
       t.add_row(ssd ? "SSD" : "disk", {a, b, c, c / a}, 1);
     }
     t.print();
@@ -69,6 +60,6 @@ int main(int argc, char** argv) {
   std::printf("\nThe service-order gap the paper exploits is mechanical; on "
               "SSDs the residual gains come from fewer, larger requests and "
               "fewer synchronous round trips.\n");
-  g_perf.write("bench_ssd_era");
+  bench::write_perf_json("bench_ssd_era", pool);
   return 0;
 }

@@ -7,90 +7,16 @@
 // reports DualPar's improvement over the *better* of vanilla and collective
 // I/O for each — then the geometric mean.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
 using bench::Variant;
-
-namespace {
-
-bench::ExperimentStats run_single(const std::string& which, bool is_write,
-                                  Variant v, std::uint64_t scale) {
-  harness::Testbed tb(bench::paper_config());
-  mpi::Job::ProgramFactory factory;
-  if (which == "mpi-io-test") {
-    wl::MpiIoTestConfig cfg;
-    cfg.file_size = (2ull << 30) / scale;
-    cfg.file = tb.create_file("f", cfg.file_size);
-    cfg.request_size = 16 * 1024;
-    cfg.is_write = is_write;
-    cfg.collective = (v == Variant::kCollective);
-    factory = [cfg](std::uint32_t) { return wl::make_mpi_io_test(cfg); };
-  } else if (which == "noncontig") {
-    wl::NoncontigConfig cfg;
-    cfg.columns = 64;
-    cfg.elmt_count = 128;
-    cfg.rows = (1ull << 30) / scale / (cfg.columns * cfg.elmt_count * 4);
-    cfg.is_write = is_write;
-    cfg.collective = (v == Variant::kCollective);
-    cfg.file = tb.create_file("f", cfg.columns * cfg.elmt_count * 4 * cfg.rows);
-    factory = [cfg](std::uint32_t) { return wl::make_noncontig(cfg); };
-  } else {
-    wl::IorConfig cfg;
-    cfg.file_size = (16ull << 30) / scale;
-    cfg.file = tb.create_file("f", cfg.file_size);
-    cfg.request_size = 32 * 1024;
-    cfg.is_write = is_write;
-    cfg.collective = (v == Variant::kCollective);
-    factory = [cfg](std::uint32_t) { return wl::make_ior(cfg); };
-  }
-  mpi::Job& job =
-      tb.add_job(which, 64, bench::driver_for(tb, v), factory, bench::policy_for(v));
-  const std::uint64_t events = tb.run();
-  return {tb.job_throughput_mbs(job), events, {}};
-}
-
-bench::ExperimentStats run_pair(bool is_write, Variant v, std::uint64_t scale) {
-  harness::Testbed tb(bench::paper_config());
-  for (int i = 0; i < 2; ++i) {
-    wl::MpiIoTestConfig cfg;
-    cfg.file_size = (2ull << 30) / scale;
-    cfg.file = tb.create_file("f" + std::to_string(i), cfg.file_size);
-    cfg.request_size = 16 * 1024;
-    cfg.is_write = is_write;
-    cfg.collective = (v == Variant::kCollective);
-    tb.add_job("j" + std::to_string(i), 64, bench::driver_for(tb, v),
-               [cfg](std::uint32_t) { return wl::make_mpi_io_test(cfg); },
-               bench::policy_for(v));
-  }
-  const std::uint64_t events = tb.run();
-  return {tb.system_throughput_mbs(), events, {}};
-}
-
-/// Per-call read latency of one variant: value = mean ms, aux = {p50, p99}.
-bench::ExperimentStats run_latency(Variant v, std::uint64_t scale) {
-  harness::Testbed tb(bench::paper_config());
-  wl::MpiIoTestConfig cfg;
-  cfg.file_size = (2ull << 30) / scale;
-  cfg.file = tb.create_file("f", cfg.file_size);
-  cfg.request_size = 16 * 1024;
-  cfg.collective = (v == Variant::kCollective);
-  mpi::Job& job = tb.add_job("lat", 64, bench::driver_for(tb, v),
-                             [cfg](std::uint32_t) { return wl::make_mpi_io_test(cfg); },
-                             bench::policy_for(v));
-  const std::uint64_t events = tb.run();
-  const auto& h = job.read_latency();
-  return {h.mean() / 1000.0, events,
-          {h.percentile(0.5) / 1000.0, h.percentile(0.99) / 1000.0}};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
@@ -98,45 +24,27 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(scale));
 
   const std::vector<std::string> workloads{"mpi-io-test", "noncontig", "ior-mpi-io"};
-  const Variant variants[] = {Variant::kVanilla, Variant::kCollective,
-                              Variant::kDualPar};
   bench::ExperimentPool pool;
 
   struct Scenario {
     std::string name;
-    std::size_t run[3];  ///< submission index per variant
+    std::array<std::size_t, 3> run;  ///< vanilla, collective, DualPar
   };
   std::vector<Scenario> scenarios;
   for (const std::string& w : workloads)
     for (bool is_write : {false, true}) {
-      Scenario s;
-      s.name = w + (is_write ? " write" : " read");
-      for (int vi = 0; vi < 3; ++vi) {
-        const Variant v = variants[vi];
-        s.run[vi] = pool.submit(s.name + " " + bench::variant_name(v),
-                                [w, is_write, v, scale] {
-                                  return run_single(w, is_write, v, scale);
-                                });
-      }
-      scenarios.push_back(std::move(s));
+      const std::string name = w + (is_write ? " write" : " read");
+      auto cell = [w, is_write, scale](Variant v) {
+        return bench::fig3_single(w, is_write, v, scale);
+      };
+      scenarios.push_back({name, bench::submit_row(pool, name, cell)});
     }
   for (bool is_write : {false, true}) {
-    Scenario s;
-    s.name = std::string("2x mpi-io-test ") + (is_write ? "write" : "read");
-    for (int vi = 0; vi < 3; ++vi) {
-      const Variant v = variants[vi];
-      s.run[vi] = pool.submit(s.name + " " + bench::variant_name(v),
-                              [is_write, v, scale] {
-                                return run_pair(is_write, v, scale);
-                              });
-    }
-    scenarios.push_back(std::move(s));
-  }
-  std::size_t lat_runs[3];
-  for (int vi = 0; vi < 3; ++vi) {
-    const Variant v = variants[vi];
-    lat_runs[vi] = pool.submit(std::string("latency ") + bench::variant_name(v),
-                               [v, scale] { return run_latency(v, scale); });
+    const std::string name = std::string("2x mpi-io-test ") + (is_write ? "write" : "read");
+    auto cell = [is_write, scale](Variant v) {
+      return bench::table2_pair(is_write, v, scale);
+    };
+    scenarios.push_back({name, bench::submit_row(pool, name, cell)});
   }
 
   bench::Table t("DualPar vs best(vanilla, collective) across the evaluation suite");
@@ -163,14 +71,13 @@ int main(int argc, char** argv) {
 
   // The cost of batching that the paper leaves implicit: DualPar trades
   // per-call latency for throughput (suspended processes wait out a whole
-  // data-driven cycle).
+  // data-driven cycle). scenarios[0] is the single mpi-io-test read.
   bench::Table lat("Per-call read latency, mpi-io-test (ms)");
   lat.set_headers({"variant", "mean", "p50", "p99"});
-  for (int vi = 0; vi < 3; ++vi) {
-    const bench::ExperimentRecord& r = pool.record(lat_runs[vi]);
+  const Variant variants[] = {Variant::kVanilla, Variant::kCollective, Variant::kDualPar};
+  for (std::size_t vi = 0; vi < 3; ++vi)
     lat.add_row(bench::variant_name(variants[vi]),
-                {r.stats.value, r.stats.aux[0], r.stats.aux[1]}, 2);
-  }
+                pool.record(scenarios[0].run[vi]).stats.aux, 2);
   lat.add_note("batching raises tail latency while cutting total runtime — the "
                "data-driven mode's inherent trade");
   lat.print();

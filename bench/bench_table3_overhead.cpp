@@ -7,69 +7,39 @@
 // a one-time overhead because the high mis-prefetch ratio latches the mode
 // off.
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
-
-namespace {
-
-bench::PerfLog g_perf;
-
-struct Result {
-  double seconds;
-  bool latched;
-  std::uint64_t cycles;
-  std::uint64_t events;
-};
-
-Result run_dependent(std::uint64_t quota, std::uint64_t scale) {
-  harness::TestbedConfig cfg = bench::paper_config();
-  if (quota > 0) cfg.dualpar.cache_quota = quota;
-  harness::Testbed tb(cfg);
-  wl::DependentConfig dc;
-  dc.file_size = (2ull << 30) / scale;
-  dc.file = tb.create_file("dep.dat", dc.file_size);
-  dc.request_size = 64 * 1024;
-  dc.requests = dc.file_size / dc.request_size / 4;
-  mpi::Job& job =
-      quota == 0 ? tb.add_job("dep", 8, tb.vanilla(),
-                              [dc](std::uint32_t) { return wl::make_dependent(dc); },
-                              dualpar::Policy::kForcedNormal)
-                 : tb.add_job("dep", 8, tb.dualpar(),
-                              [dc](std::uint32_t) { return wl::make_dependent(dc); },
-                              dualpar::Policy::kForcedDataDriven);
-  auto tm = g_perf.start(quota == 0 ? "no DualPar"
-                                     : "DualPar cache " +
-                                           std::to_string(quota >> 10) + "KB");
-  const std::uint64_t events = tb.run();
-  Result r{sim::to_seconds(job.completion_time() - job.start_time()),
-           quota > 0 && tb.emc().latched_off(job.id()),
-           tb.dualpar().stats().cycles, events};
-  g_perf.finish(tm, r.seconds, events);
-  return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
   std::printf("Table III reproduction (data-dependent reads; all prefetches "
               "wasted; scale 1/%llu)\n", static_cast<unsigned long long>(scale));
-  const Result base = run_dependent(0, scale);
+  bench::ExperimentPool pool;
+  const std::size_t base_run =
+      pool.submit("no DualPar", [scale] { return bench::table3_dependent(0, scale); });
+  const std::uint64_t quotas_kb[] = {512, 1024, 2048, 4096};
+  std::vector<std::size_t> runs;
+  for (std::uint64_t kb : quotas_kb)
+    runs.push_back(pool.submit("DualPar cache " + std::to_string(kb) + "KB", [kb, scale] {
+      return bench::table3_dependent(kb * 1024, scale);
+    }));
+
+  const bench::ExperimentStats& base = pool.record(base_run).stats;
   bench::Table t("Table III: execution time (s) of an unpredictable program");
   t.set_headers({"config", "time (s)", "overhead %", "mode latched off", "cycles"});
-  t.add_text_row("no DualPar", {std::to_string(base.seconds).substr(0, 6), "-", "-", "-"});
-  Result last{};
-  for (std::uint64_t kb : {512u, 1024u, 2048u, 4096u}) {
-    const Result r = run_dependent(kb * 1024ull, scale);
-    last = r;
+  t.add_text_row("no DualPar", {std::to_string(base.value).substr(0, 6), "-", "-", "-"});
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const bench::ExperimentStats& r = pool.record(runs[i]).stats;
     char time_s[32], ovh[32];
-    std::snprintf(time_s, sizeof time_s, "%.2f", r.seconds);
-    std::snprintf(ovh, sizeof ovh, "%.1f%%", (r.seconds / base.seconds - 1.0) * 100.0);
-    t.add_text_row("DualPar, cache " + std::to_string(kb) + " KB",
-                   {time_s, ovh, r.latched ? "yes" : "NO", std::to_string(r.cycles)});
+    std::snprintf(time_s, sizeof time_s, "%.2f", r.value);
+    std::snprintf(ovh, sizeof ovh, "%.1f%%", (r.value / base.value - 1.0) * 100.0);
+    t.add_text_row("DualPar, cache " + std::to_string(quotas_kb[i]) + " KB",
+                   {time_s, ovh, r.aux[0] > 0 ? "yes" : "NO",
+                    std::to_string(static_cast<std::uint64_t>(r.aux[1]))});
   }
   t.add_note("paper: worst-case increase is small (7.2% at 4 MB cache) and "
              "one-time — the mis-prefetch gate turns the mode off");
@@ -77,11 +47,12 @@ int main(int argc, char** argv) {
   // Event-count overhead of the vanilla path vs DualPar (same program, same
   // data volume): the headline the event-coalescing work moves. Tracked in
   // BENCH_sim_core.json; value = vanilla events per DualPar event.
-  if (last.events > 0) {
-    auto tm = g_perf.start("event_count_ratio/vanilla_vs_dualpar");
-    g_perf.finish(tm, static_cast<double>(base.events) / static_cast<double>(last.events),
-                  base.events);
-  }
-  g_perf.write("bench_table3_overhead");
+  const std::uint64_t last_events = pool.record(runs.back()).stats.events;
+  std::vector<metrics::PerfEntry> extra;
+  if (last_events > 0)
+    extra.push_back({"event_count_ratio/vanilla_vs_dualpar",
+                     static_cast<double>(base.events) / static_cast<double>(last_events),
+                     base.events, 0});
+  bench::write_perf_json("bench_table3_overhead", pool, std::move(extra));
   return 0;
 }

@@ -7,20 +7,19 @@
 //
 // Not a figure from the paper — an extension the paper's related-work
 // discussion motivates.
+#include <array>
 #include <cstdio>
+#include <string>
 
-#include "harness.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 using namespace dpar;
 using bench::Variant;
 
 namespace {
 
-bench::PerfLog g_perf;
-
-double run(Variant v, double degrade_factor, std::uint64_t scale) {
-  harness::TestbedConfig cfg = bench::paper_config();
+bench::ExperimentStats run(Variant v, double degrade_factor, std::uint64_t scale) {
+  harness::TestbedConfig cfg;
   if (degrade_factor < 1.0) {
     disk::DiskParams slow = cfg.disk;
     slow.sustained_mb_s *= degrade_factor;
@@ -30,21 +29,8 @@ double run(Variant v, double degrade_factor, std::uint64_t scale) {
     cfg.per_server_disk[4] = slow;  // one straggler in the middle
   }
   harness::Testbed tb(cfg);
-  wl::MpiIoTestConfig mc;
-  mc.file_size = (2ull << 30) / scale;
-  mc.file = tb.create_file("f", mc.file_size);
-  mc.request_size = 16 * 1024;
-  mc.collective = (v == Variant::kCollective);
-  mpi::Job& job = tb.add_job("job", 64, bench::driver_for(tb, v),
-                             [mc](std::uint32_t) { return wl::make_mpi_io_test(mc); },
-                             bench::policy_for(v));
-  auto tm = g_perf.start(std::string(bench::variant_name(v)) + " speed=" +
-                         std::to_string(static_cast<int>(degrade_factor * 100)) +
-                         "%");
-  const std::uint64_t events = tb.run();
-  const double mbs = tb.job_throughput_mbs(job);
-  g_perf.finish(tm, mbs, events);
-  return mbs;
+  const bench::Run r = bench::run(tb, v, bench::paper_mpi_io_test(scale));
+  return {r.job_mbs, r.events};
 }
 
 }  // namespace
@@ -53,20 +39,23 @@ int main(int argc, char** argv) {
   const std::uint64_t scale = bench::scale_divisor(argc, argv);
   std::printf("Extension: one degraded data server (variability tolerance), "
               "scale 1/%llu\n", static_cast<unsigned long long>(scale));
+  bench::ExperimentPool pool;
+  const double speeds[] = {1.0, 0.5, 0.25};
+  std::array<std::size_t, 3> runs[3];  // [speed]
+  for (std::size_t s = 0; s < 3; ++s)
+    runs[s] = bench::submit_row(
+        pool, "speed=" + std::to_string(static_cast<int>(speeds[s] * 100)) + "%",
+        [f = speeds[s], scale](Variant v) { return run(v, f, scale); });
+  auto mbs = [&](std::size_t s, std::size_t v) { return pool.value(runs[s][v]); };
+
   bench::Table t("mpi-io-test read throughput (MB/s) with a straggler server");
   t.set_headers({"configuration", "vanilla", "collective", "DualPar",
                  "retained % (DP)"});
-  const double v0 = run(Variant::kVanilla, 1.0, scale);
-  const double c0 = run(Variant::kCollective, 1.0, scale);
-  const double d0 = run(Variant::kDualPar, 1.0, scale);
-  t.add_row("all servers healthy", {v0, c0, d0, 100.0}, 1);
-  for (double f : {0.5, 0.25}) {
-    const double v = run(Variant::kVanilla, f, scale);
-    const double c = run(Variant::kCollective, f, scale);
-    const double d = run(Variant::kDualPar, f, scale);
+  t.add_row("all servers healthy", {mbs(0, 0), mbs(0, 1), mbs(0, 2), 100.0}, 1);
+  for (std::size_t s = 1; s < 3; ++s) {
     char label[48];
-    std::snprintf(label, sizeof label, "server 4 at %.0f%% speed", f * 100);
-    t.add_row(label, {v, c, d, d / d0 * 100.0}, 1);
+    std::snprintf(label, sizeof label, "server 4 at %.0f%% speed", speeds[s] * 100);
+    t.add_row(label, {mbs(s, 0), mbs(s, 1), mbs(s, 2), mbs(s, 2) / mbs(0, 2) * 100.0}, 1);
   }
   t.add_note("synchronous per-call I/O is gated by the straggler every round; "
              "DualPar's deep batches keep the healthy disks busy meanwhile");
@@ -74,9 +63,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nretained throughput with a 4x-degraded server: vanilla %.0f%%, "
               "collective %.0f%%, DualPar %.0f%%\n",
-              run(Variant::kVanilla, 0.25, scale) / v0 * 100.0,
-              run(Variant::kCollective, 0.25, scale) / c0 * 100.0,
-              run(Variant::kDualPar, 0.25, scale) / d0 * 100.0);
-  g_perf.write("bench_variability");
+              mbs(2, 0) / mbs(0, 0) * 100.0, mbs(2, 1) / mbs(0, 1) * 100.0,
+              mbs(2, 2) / mbs(0, 2) * 100.0);
+  bench::write_perf_json("bench_variability", pool);
   return 0;
 }

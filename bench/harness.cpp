@@ -13,36 +13,9 @@ const char* variant_name(Variant v) {
     case Variant::kCollective: return "collective IO";
     case Variant::kDualPar: return "DualPar";
     case Variant::kPreexec: return "preexec-prefetch";
+    case Variant::kAdaptive: return "DualPar adaptive";
   }
   return "?";
-}
-
-mpi::IoDriver& driver_for(harness::Testbed& tb, Variant v) {
-  switch (v) {
-    case Variant::kVanilla: return tb.vanilla();
-    case Variant::kCollective: return tb.collective();
-    case Variant::kDualPar: return tb.dualpar();
-    case Variant::kPreexec: return tb.preexec();
-  }
-  return tb.vanilla();
-}
-
-dualpar::Policy policy_for(Variant v) {
-  // §V-B: "For execution with DualPar, programs stay in the data-driven
-  // mode." Fig 7 overrides this with kAdaptive explicitly.
-  return v == Variant::kDualPar ? dualpar::Policy::kForcedDataDriven
-                                : dualpar::Policy::kForcedNormal;
-}
-
-harness::TestbedConfig paper_config() {
-  harness::TestbedConfig cfg;
-  cfg.data_servers = 9;
-  cfg.compute_nodes = 4;
-  cfg.cores_per_node = 48;
-  cfg.stripe_unit = 64 * 1024;
-  cfg.raid0 = true;
-  cfg.scheduler = disk::SchedulerKind::kCfq;
-  return cfg;
 }
 
 std::uint64_t scale_divisor(int argc, char** argv) {
@@ -86,13 +59,15 @@ std::uint64_t peak_rss_bytes() {
   return kb * 1024;
 }
 
-std::string write_perf_json(const std::string& bench_name, ExperimentPool& pool) {
+std::string write_perf_json(const std::string& bench_name, ExperimentPool& pool,
+                            std::vector<metrics::PerfEntry> extra) {
   const std::vector<ExperimentRecord>& records = pool.wait_all();
   std::vector<metrics::PerfEntry> entries;
-  entries.reserve(records.size());
+  entries.reserve(records.size() + extra.size());
   for (const ExperimentRecord& r : records)
     entries.push_back(metrics::PerfEntry{r.label, r.stats.value, r.stats.events,
                                          r.wall_s});
+  entries.insert(entries.end(), extra.begin(), extra.end());
   return write_perf_json(bench_name, entries, pool.suite_wall_s(), pool.jobs());
 }
 

@@ -1,5 +1,7 @@
-// Shared harness for the paper-reproduction benches: the paper's testbed
-// configuration, driver/variant selection, table formatting, and scaling.
+// Shared harness for the paper-reproduction benches: variants, scaling, perf
+// accounting and table formatting. The benches' testbed is
+// harness::TestbedConfig{} (the §V platform); their experiments come from the
+// catalogue in figures.hpp.
 //
 // Every bench accepts `--full` to run at the paper's data sizes; the default
 // divides file sizes by DPAR_SCALE (env, default 16) so the whole suite runs
@@ -19,15 +21,12 @@
 
 namespace dpar::bench {
 
-enum class Variant { kVanilla, kCollective, kDualPar, kPreexec };
+/// How a program runs: the MPI-IO driver plus the EMC policy. §V-B keeps
+/// DualPar programs in data-driven mode; kAdaptive is DualPar under EMC's
+/// opportunistic switching (Fig 7).
+enum class Variant { kVanilla, kCollective, kDualPar, kPreexec, kAdaptive };
 
 const char* variant_name(Variant v);
-mpi::IoDriver& driver_for(harness::Testbed& tb, Variant v);
-dualpar::Policy policy_for(Variant v);
-
-/// The §V platform: 9 data servers (RAID-0 pairs, CFQ), one metadata server,
-/// 4 compute nodes with 48 cores, 64 KB striping, Gigabit Ethernet.
-harness::TestbedConfig paper_config();
 
 /// Data-size divisor: 1 with --full, else DPAR_SCALE env (default 16).
 std::uint64_t scale_divisor(int argc, char** argv);
@@ -52,70 +51,19 @@ unsigned bench_repeat();
 std::uint64_t peak_rss_bytes();
 
 /// Wait for every experiment in `pool` and merge this bench's perf section
-/// (per-experiment wall time + events, suite totals, events/sec) into the
-/// shared perf report. Path from the DPAR_BENCH_JSON env var, default
-/// "BENCH_sim_core.json". Returns the path written (empty on failure).
-std::string write_perf_json(const std::string& bench_name, ExperimentPool& pool);
+/// (per-experiment wall time + events, then `extra`, suite totals,
+/// events/sec) into the shared perf report. Path from the DPAR_BENCH_JSON env
+/// var, default "BENCH_sim_core.json". Returns the path written (empty on
+/// failure).
+std::string write_perf_json(const std::string& bench_name, ExperimentPool& pool,
+                            std::vector<metrics::PerfEntry> extra = {});
 
-/// Merge a hand-built entry list (benches that run inline, without a pool or
-/// with extra per-run outputs a pool Task cannot return). Same path rules as
-/// the pool overload; nothing is written to stdout, so bench output stays
-/// byte-comparable across runs.
+/// Merge a hand-built entry list (bench_micro, which runs google-benchmark,
+/// not a pool). Same path rules as the pool overload; nothing is written to
+/// stdout, so bench output stays byte-comparable across runs.
 std::string write_perf_json(const std::string& bench_name,
                             const std::vector<metrics::PerfEntry>& entries,
                             double suite_wall_s, unsigned jobs = 1);
-
-/// Perf accounting for benches whose experiments run inline on the main
-/// thread: time each run, collect one PerfEntry per experiment, then merge a
-/// section into the shared report at exit.
-class PerfLog {
- public:
-  using Clock = std::chrono::steady_clock;
-
-  PerfLog() : suite_start_(Clock::now()) {}
-
-  class Timer {
-   public:
-    explicit Timer(std::string label) : label_(std::move(label)), start_(Clock::now()) {}
-
-   private:
-    friend class PerfLog;
-    std::string label_;
-    Clock::time_point start_;
-  };
-
-  Timer start(std::string label) { return Timer(std::move(label)); }
-
-  /// Stop `t` and file its entry (headline metric + engine events fired).
-  void finish(const Timer& t, double value, std::uint64_t events) {
-    const double wall_s = std::chrono::duration<double>(Clock::now() - t.start_).count();
-    entries_.push_back(metrics::PerfEntry{t.label_, value, events, wall_s});
-  }
-
-  /// File an entry with an externally measured wall time (e.g. the median
-  /// of DPAR_BENCH_REPEAT runs from timed_median()).
-  void add(std::string label, double value, std::uint64_t events, double wall_s) {
-    entries_.push_back(
-        metrics::PerfEntry{std::move(label), value, events, wall_s});
-  }
-
-  /// Append this log's entries to `out` (benches that combine pool records
-  /// with inline timings into one section).
-  void append_to(std::vector<metrics::PerfEntry>& out) const {
-    out.insert(out.end(), entries_.begin(), entries_.end());
-  }
-
-  /// Merge this bench's section into the shared report; see write_perf_json.
-  std::string write(const std::string& bench_name) const {
-    const double wall_s =
-        std::chrono::duration<double>(Clock::now() - suite_start_).count();
-    return write_perf_json(bench_name, entries_, wall_s);
-  }
-
- private:
-  std::vector<metrics::PerfEntry> entries_;
-  Clock::time_point suite_start_;
-};
 
 /// Run `fn` bench_repeat() times, writing the median wall seconds to
 /// `wall_s`, and return the last run's result. For deterministic timed
@@ -126,16 +74,15 @@ auto timed_median(double& wall_s, Fn&& fn) {
   std::vector<double> walls;
   const unsigned reps = bench_repeat();
   walls.reserve(reps);
+  using Clock = std::chrono::steady_clock;
   for (unsigned r = 0; r + 1 < reps; ++r) {
-    const auto t0 = PerfLog::Clock::now();
+    const auto t0 = Clock::now();
     (void)fn();
-    walls.push_back(
-        std::chrono::duration<double>(PerfLog::Clock::now() - t0).count());
+    walls.push_back(std::chrono::duration<double>(Clock::now() - t0).count());
   }
-  const auto t0 = PerfLog::Clock::now();
+  const auto t0 = Clock::now();
   auto result = fn();
-  walls.push_back(
-      std::chrono::duration<double>(PerfLog::Clock::now() - t0).count());
+  walls.push_back(std::chrono::duration<double>(Clock::now() - t0).count());
   std::sort(walls.begin(), walls.end());
   wall_s = walls[walls.size() / 2];
   return result;

@@ -13,6 +13,7 @@
 // contract of the bench layer.
 #pragma once
 
+#include <any>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -22,16 +23,23 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace dpar::bench {
 
 /// What an experiment hands back: its headline metric, optional secondary
-/// metrics, and the number of engine events it fired (for perf accounting).
+/// metrics, a result that is more than numbers, and the number of engine
+/// events it fired (for perf accounting).
 struct ExperimentStats {
-  double value = 0;
-  std::uint64_t events = 0;
+  ExperimentStats(double value = 0, std::uint64_t events = 0,
+                  std::vector<double> aux = {}, std::any detail = {})
+      : value(value), events(events), aux(std::move(aux)), detail(std::move(detail)) {}
+
+  double value;
+  std::uint64_t events;
   std::vector<double> aux;  ///< extra metrics (e.g. latency percentiles)
+  std::any detail;          ///< e.g. a trace window; read with std::any_cast
 };
 
 /// A finished experiment, as recorded by the pool.

@@ -21,11 +21,6 @@ struct Segment {
 struct StripeLayout {
   std::uint64_t unit_bytes = 64 * 1024;
   std::uint32_t num_servers = 1;
-  /// Route decompose_segment through the frozen per-chunk loop
-  /// (layout_reference.cpp) instead of the closed form. The two produce
-  /// identical runs; benches flip this to measure the closed form against
-  /// the pre-change code path end to end.
-  bool reference_decompose = false;
 
   std::uint64_t stripe_of(std::uint64_t offset) const { return offset / unit_bytes; }
   std::uint32_t server_of(std::uint64_t offset) const {
@@ -87,7 +82,8 @@ void decompose_segment(const StripeLayout& layout, const Segment& seg,
 
 /// The pre-closed-form decomposition, one loop iteration per stripe chunk,
 /// frozen verbatim as the differential oracle (same pattern as the scheduler
-/// references in sched_reference.cpp). Produces byte-identical runs.
+/// references in sched_reference.cpp). Produces byte-identical runs; the
+/// decomposition benches call it directly to time the pre-change code path.
 void decompose_segment_reference(const StripeLayout& layout, const Segment& seg,
                                  std::vector<std::vector<ServerRun>>& per_server);
 

@@ -1,101 +1,61 @@
 // Shape-regression suite: every qualitative claim the reproduction makes
 // about the paper's figures is pinned here at miniature scale, so a
 // refactoring that silently breaks "who wins" fails the build, not the
-// bench read-through.
+// bench read-through. The experiments come from the benches' catalogue
+// (bench/figures.hpp): the same builders, at the sizes below.
 #include <gtest/gtest.h>
 
-#include <string>
+#include <algorithm>
 
-#include "harness/testbed.hpp"
-#include "wl/workloads.hpp"
+#include "figures.hpp"
 
 namespace dpar {
 namespace {
 
-enum class Drv { kVanilla, kCollective, kDualPar, kPreexec };
+using bench::Variant;
 
-double run_mpiiotest(Drv d, std::uint64_t fsize, int instances = 1,
-                     sim::Time compute = 0) {
+double run_mpiiotest(Variant v, std::uint64_t fsize, std::uint32_t instances = 1) {
   harness::Testbed tb;  // paper-shaped cluster (9 servers, 4 nodes)
-  for (int i = 0; i < instances; ++i) {
-    wl::MpiIoTestConfig c;
-    c.file_size = fsize;
-    c.file = tb.create_file("f" + std::to_string(i), fsize);
-    c.request_size = 16 * 1024;
-    c.compute_per_call = compute;
-    c.collective = (d == Drv::kCollective);
-    tb.add_job("m" + std::to_string(i), 64,
-               d == Drv::kVanilla      ? static_cast<mpi::IoDriver&>(tb.vanilla())
-               : d == Drv::kCollective ? static_cast<mpi::IoDriver&>(tb.collective())
-               : d == Drv::kDualPar    ? static_cast<mpi::IoDriver&>(tb.dualpar())
-                                       : static_cast<mpi::IoDriver&>(tb.preexec()),
-               [c](std::uint32_t) { return wl::make_mpi_io_test(c); },
-               d == Drv::kDualPar ? dualpar::Policy::kForcedDataDriven
-                                  : dualpar::Policy::kForcedNormal);
-  }
-  tb.run();
-  return tb.system_throughput_mbs();
+  wl::MpiIoTestConfig c;
+  c.file_size = fsize;
+  return bench::run(tb, v, c, {64, instances}).system_mbs;
 }
 
 TEST(Fig3Shape, DualParWinsSingleAppSequentialRead) {
   const std::uint64_t fsize = 64 << 20;
-  const double vanilla = run_mpiiotest(Drv::kVanilla, fsize);
-  const double dualpar = run_mpiiotest(Drv::kDualPar, fsize);
+  const double vanilla = run_mpiiotest(Variant::kVanilla, fsize);
+  const double dualpar = run_mpiiotest(Variant::kDualPar, fsize);
   EXPECT_GT(dualpar, vanilla * 1.5);  // paper: 2.3x
 }
 
 TEST(Fig3Shape, CollectiveLosesOnIor) {
-  auto run = [&](Drv d) {
+  auto run = [&](Variant v) {
     harness::Testbed tb;
     wl::IorConfig c;
     c.file_size = 512ull << 20;
-    c.file = tb.create_file("f", c.file_size);
     c.request_size = 32 * 1024;
-    c.collective = (d == Drv::kCollective);
-    auto& job = tb.add_job("i", 64,
-                           d == Drv::kVanilla
-                               ? static_cast<mpi::IoDriver&>(tb.vanilla())
-                           : d == Drv::kCollective
-                               ? static_cast<mpi::IoDriver&>(tb.collective())
-                               : static_cast<mpi::IoDriver&>(tb.dualpar()),
-                           [c](std::uint32_t) { return wl::make_ior(c); },
-                           d == Drv::kDualPar ? dualpar::Policy::kForcedDataDriven
-                                              : dualpar::Policy::kForcedNormal);
-    tb.run();
-    return tb.job_throughput_mbs(job);
+    return bench::run(tb, v, c).job_mbs;
   };
-  const double vanilla = run(Drv::kVanilla);
-  const double coll = run(Drv::kCollective);
-  const double dualpar = run(Drv::kDualPar);
+  const double vanilla = run(Variant::kVanilla);
+  const double coll = run(Variant::kCollective);
+  const double dualpar = run(Variant::kDualPar);
   EXPECT_LT(coll, vanilla);            // the striping/domain mismatch (§V-B)
   EXPECT_GT(dualpar, coll * 2);        // DualPar far ahead of collective
   EXPECT_GE(dualpar, vanilla * 0.95);  // and at least on par with vanilla
 }
 
 TEST(Fig3Shape, NoncontigOrderingVanillaCollectiveDualPar) {
-  auto run = [&](Drv d) {
+  auto run = [&](Variant v) {
     harness::Testbed tb;
     wl::NoncontigConfig c;
     c.columns = 64;
     c.elmt_count = 128;
     c.rows = 1024;
-    c.collective = (d == Drv::kCollective);
-    c.file = tb.create_file("f", c.columns * c.elmt_count * 4 * c.rows);
-    auto& job = tb.add_job("n", 64,
-                           d == Drv::kVanilla
-                               ? static_cast<mpi::IoDriver&>(tb.vanilla())
-                           : d == Drv::kCollective
-                               ? static_cast<mpi::IoDriver&>(tb.collective())
-                               : static_cast<mpi::IoDriver&>(tb.dualpar()),
-                           [c](std::uint32_t) { return wl::make_noncontig(c); },
-                           d == Drv::kDualPar ? dualpar::Policy::kForcedDataDriven
-                                              : dualpar::Policy::kForcedNormal);
-    tb.run();
-    return tb.job_throughput_mbs(job);
+    return bench::run(tb, v, c).job_mbs;
   };
-  const double vanilla = run(Drv::kVanilla);
-  const double coll = run(Drv::kCollective);
-  const double dualpar = run(Drv::kDualPar);
+  const double vanilla = run(Variant::kVanilla);
+  const double coll = run(Variant::kCollective);
+  const double dualpar = run(Variant::kDualPar);
   EXPECT_GT(coll, vanilla * 5);     // collective transforms noncontig
   EXPECT_GT(dualpar, coll);         // and DualPar beats collective (+57% paper)
 }
@@ -103,35 +63,48 @@ TEST(Fig3Shape, NoncontigOrderingVanillaCollectiveDualPar) {
 TEST(Fig1Shape, Strategy3LosesAtLowIoRatioWinsAtHigh) {
   // At a low I/O ratio the redundant ghost computation makes DualPar slower
   // than vanilla; at ~100% it is far faster.
-  auto runtime = [&](Drv d, sim::Time compute) {
+  auto runtime = [&](Variant v, sim::Time compute) {
     harness::Testbed tb;
     wl::DemoConfig c;
     c.file_size = 32 << 20;
-    c.file = tb.create_file("f", c.file_size);
     c.segment_size = 4096;
     c.compute_per_call = compute;
-    auto& job = tb.add_job("d", 8,
-                           d == Drv::kVanilla
-                               ? static_cast<mpi::IoDriver&>(tb.vanilla())
-                               : static_cast<mpi::IoDriver&>(tb.dualpar()),
-                           [c](std::uint32_t) { return wl::make_demo(c); },
-                           d == Drv::kDualPar ? dualpar::Policy::kForcedDataDriven
-                                              : dualpar::Policy::kForcedNormal);
-    tb.run();
-    return job.completion_time();
+    return bench::run(tb, v, c, {8}).job->completion_time();
   };
   // Pure I/O: Strategy 3 wins big.
-  EXPECT_LT(runtime(Drv::kDualPar, 0), runtime(Drv::kVanilla, 0));
+  EXPECT_LT(runtime(Variant::kDualPar, 0), runtime(Variant::kVanilla, 0));
   // Compute-dominated: Strategy 3's ghost re-runs the compute and loses.
   const sim::Time heavy = sim::msec(200);
-  EXPECT_GT(runtime(Drv::kDualPar, heavy), runtime(Drv::kVanilla, heavy));
+  EXPECT_GT(runtime(Variant::kDualPar, heavy), runtime(Variant::kVanilla, heavy));
 }
 
 TEST(Table2Shape, InterferenceGapAndSeekReduction) {
   const std::uint64_t fsize = 48 << 20;
-  const double vanilla2 = run_mpiiotest(Drv::kVanilla, fsize, 2);
-  const double dualpar2 = run_mpiiotest(Drv::kDualPar, fsize, 2);
+  const double vanilla2 = run_mpiiotest(Variant::kVanilla, fsize, 2);
+  const double dualpar2 = run_mpiiotest(Variant::kDualPar, fsize, 2);
   EXPECT_GT(dualpar2, vanilla2 * 1.5);  // paper: ~2.7x
+}
+
+TEST(Fig4Shape, DualParAboveCollectiveAboveVanilla) {
+  // Bench cells at DPAR_SCALE=64. The paper's further claim that DualPar's
+  // gain keeps growing with the process count does not hold yet (see
+  // EXPERIMENTS.md, Fig 4), so it is not pinned here.
+  for (std::uint32_t procs : {16u, 64u}) {
+    const double vanilla = bench::fig4_btio(procs, Variant::kVanilla, 64).value;
+    const double coll = bench::fig4_btio(procs, Variant::kCollective, 64).value;
+    const double dualpar = bench::fig4_btio(procs, Variant::kDualPar, 64).value;
+    EXPECT_GT(coll, vanilla) << procs << " procs";
+    EXPECT_GT(dualpar, coll) << procs << " procs";
+  }
+}
+
+TEST(Fig5Shape, DualParIoTimeBelowBothAlternatives) {
+  for (std::uint32_t queries : {16u, 24u, 32u}) {
+    const double vanilla = bench::fig5_s3asim(queries, Variant::kVanilla, 64).value;
+    const double coll = bench::fig5_s3asim(queries, Variant::kCollective, 64).value;
+    const double dualpar = bench::fig5_s3asim(queries, Variant::kDualPar, 64).value;
+    EXPECT_LT(dualpar, std::min(vanilla, coll)) << queries << " queries";
+  }
 }
 
 TEST(Fig8Shape, ThroughputRisesWithQuotaThenSaturates) {
@@ -142,12 +115,7 @@ TEST(Fig8Shape, ThroughputRisesWithQuotaThenSaturates) {
     wl::BtioConfig c;
     c.total_bytes = 8 << 20;
     c.write_steps = 8;
-    c.file = tb.create_file("f", c.total_bytes * 2);
-    auto& job = tb.add_job("b", 64, tb.dualpar(),
-                           [c](std::uint32_t) { return wl::make_btio(c); },
-                           dualpar::Policy::kForcedDataDriven);
-    tb.run();
-    return tb.job_throughput_mbs(job);
+    return bench::run(tb, Variant::kDualPar, c).job_mbs;
   };
   const double q64k = run(64 * 1024);
   const double q1m = run(1 << 20);
@@ -157,46 +125,30 @@ TEST(Fig8Shape, ThroughputRisesWithQuotaThenSaturates) {
 }
 
 TEST(Fig7Shape, AdaptiveDualParMatchesVanillaWhenAlone) {
-  auto runtime = [&](bool dualpar) {
+  auto runtime = [&](Variant v) {
     harness::Testbed tb;
     wl::MpiIoTestConfig c;
     c.file_size = 96 << 20;
-    c.file = tb.create_file("f", c.file_size);
-    c.request_size = 16 * 1024;
-    auto& job = tb.add_job("solo", 64,
-                           dualpar ? static_cast<mpi::IoDriver&>(tb.dualpar())
-                                   : static_cast<mpi::IoDriver&>(tb.vanilla()),
-                           [c](std::uint32_t) { return wl::make_mpi_io_test(c); },
-                           dualpar ? dualpar::Policy::kAdaptive
-                                   : dualpar::Policy::kForcedNormal);
-    tb.run();
-    return job.completion_time();
+    return bench::run(tb, v, c).job->completion_time();
   };
   // EMC leaves the lone sequential program computation-driven: identical runs.
-  EXPECT_EQ(runtime(true), runtime(false));
+  EXPECT_EQ(runtime(Variant::kAdaptive), runtime(Variant::kVanilla));
 }
 
 TEST(Table3Shape, AdversaryOverheadBoundedAndLatched) {
-  auto runtime = [&](bool dualpar) {
+  auto runtime = [&](Variant v) {
     harness::Testbed tb;
     wl::DependentConfig c;
     c.file_size = 64 << 20;
-    c.file = tb.create_file("f", c.file_size);
     c.requests = 200;
-    auto& job = tb.add_job("dep", 8,
-                           dualpar ? static_cast<mpi::IoDriver&>(tb.dualpar())
-                                   : static_cast<mpi::IoDriver&>(tb.vanilla()),
-                           [c](std::uint32_t) { return wl::make_dependent(c); },
-                           dualpar ? dualpar::Policy::kForcedDataDriven
-                                   : dualpar::Policy::kForcedNormal);
-    tb.run();
-    if (dualpar) {
-      EXPECT_TRUE(tb.emc().latched_off(job.id()));
+    const bench::Run r = bench::run(tb, v, c, {8});
+    if (v == Variant::kDualPar) {
+      EXPECT_TRUE(tb.emc().latched_off(r.job->id()));
     }
-    return job.completion_time();
+    return r.job->completion_time();
   };
-  const auto base = runtime(false);
-  const auto with = runtime(true);
+  const auto base = runtime(Variant::kVanilla);
+  const auto with = runtime(Variant::kDualPar);
   // Worst case stays within 10% (paper: 7.2% at the largest cache).
   EXPECT_LT(static_cast<double>(with), static_cast<double>(base) * 1.10);
 }
