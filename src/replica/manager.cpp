@@ -1,6 +1,7 @@
 #include "replica/manager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "pfs/server.hpp"
@@ -15,6 +16,26 @@ constexpr std::uint64_t kRepairContext = ~0ull;
 /// Token bucket depth, in scan intervals' worth of budget: bounds the burst
 /// a long idle stretch can bank up.
 constexpr double kTokenBucketDepth = 4.0;
+
+bool test_bit(const std::vector<std::uint64_t>& bits, std::size_t i) {
+  return (bits[i / 64] >> (i % 64)) & 1u;
+}
+void set_bit(std::vector<std::uint64_t>& bits, std::size_t i) {
+  bits[i / 64] |= std::uint64_t{1} << (i % 64);
+}
+void clear_bit(std::vector<std::uint64_t>& bits, std::size_t i) {
+  bits[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+}
+
+/// Call `fn(i)` for every set bit `i` in ascending order until it returns
+/// true; returns whether it did.
+template <class Fn>
+bool any_set_bit(const std::vector<std::uint64_t>& bits, Fn&& fn) {
+  for (std::size_t w = 0; w < bits.size(); ++w)
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
+      if (fn(w * 64 + static_cast<std::size_t>(std::countr_zero(word)))) return true;
+  return false;
+}
 }  // namespace
 
 RepairManager::RepairManager(sim::Engine& eng, net::Network& net,
@@ -44,8 +65,18 @@ void RepairManager::register_file(pfs::FileId id, std::uint64_t size) {
   f.id = id;
   f.size = size;
   f.chunks = map_.num_chunks(size);
-  const std::size_t copies = f.chunks * map_.replication_factor();
-  f.invalid.assign(copies, 0);
+  const std::uint32_t rf = map_.replication_factor();
+  const std::size_t copies = f.chunks * rf;
+  f.invalid.assign((copies + 63) / 64, 0);
+  f.live.assign(f.chunks, rf);
+  // Every copy starts valid, so only a server that is down already can leave
+  // a chunk short.
+  if (injector_ && injector_->servers_down() > 0)
+    for (std::uint64_t k = 0; k < f.chunks; ++k) {
+      for (std::uint32_t r = 0; r < rf; ++r)
+        if (!server_up_(map_.server_of(k, r))) --f.live[k];
+      under_count_ += f.live[k] < rf ? 1 : 0;
+    }
   f.attempts.assign(copies, 0);
   f.repairing.assign(copies, 0);
   f.seq.assign(copies, 0);
@@ -53,13 +84,27 @@ void RepairManager::register_file(pfs::FileId id, std::uint64_t size) {
   tracked_.push_back(std::move(f));
 }
 
-bool RepairManager::copy_live_(const FileState& f, std::uint64_t chunk,
-                               std::uint32_t role) const {
-  if (f.invalid[chunk * map_.replication_factor() + role]) return false;
-  return !injector_ || !injector_->server_down(map_.server_of(chunk, role));
+bool RepairManager::server_up_(std::uint32_t server) const {
+  return !injector_ || !injector_->server_down(server);
 }
 
-std::uint64_t RepairManager::count_under_() const {
+bool RepairManager::copy_live_(const FileState& f, std::uint64_t chunk,
+                               std::uint32_t role) const {
+  if (test_bit(f.invalid, chunk * map_.replication_factor() + role)) return false;
+  return server_up_(map_.server_of(chunk, role));
+}
+
+void RepairManager::lose_live_(FileState& f, std::uint64_t chunk) {
+  DPAR_ASSERT(f.live[chunk] > 0, "live-copy count underflow");
+  if (f.live[chunk]-- == map_.replication_factor()) ++under_count_;
+}
+
+void RepairManager::gain_live_(FileState& f, std::uint64_t chunk) {
+  DPAR_ASSERT(f.live[chunk] < map_.replication_factor(), "live-copy count overflow");
+  if (++f.live[chunk] == map_.replication_factor()) --under_count_;
+}
+
+std::uint64_t RepairManager::count_under_scan_() const {
   const std::uint32_t rf = map_.replication_factor();
   std::uint64_t under = 0;
   for (const FileState& f : tracked_)
@@ -76,32 +121,40 @@ void RepairManager::touch_() {
   under_chunk_ns_ += static_cast<double>(under_now_) *
                      static_cast<double>(now - under_since_);
   under_since_ = now;
-  under_now_ = count_under_();
-}
-
-std::uint64_t RepairManager::under_replicated_now() const {
-  return count_under_();
+  DPAR_IF_CHECKING(DPAR_ASSERT(under_count_ == count_under_scan_(),
+                               "incremental under-replication count != full scan"));
+  under_now_ = under_count_;
 }
 
 void RepairManager::note_invalid_(FileState& f, std::uint64_t chunk,
                                   std::uint32_t role) {
   const std::size_t slot = chunk * map_.replication_factor() + role;
   ++f.seq[slot];
-  if (!f.invalid[slot]) {
-    f.invalid[slot] = 1;
+  if (!test_bit(f.invalid, slot)) {
+    set_bit(f.invalid, slot);
     ++counters().chunks_invalidated;
+    if (server_up_(map_.server_of(chunk, role))) lose_live_(f, chunk);
   }
 }
 
 void RepairManager::on_server_state_(std::uint32_t server, bool down) {
-  touch_();
-  if (down) {
-    const std::uint32_t rf = map_.replication_factor();
-    for (FileState& f : tracked_)
-      for (std::uint64_t k = 0; k < f.chunks; ++k)
-        for (std::uint32_t r = 0; r < rf; ++r)
-          if (map_.server_of(k, r) == server) note_invalid_(f, k, r);
-  }
+  // The injector flipped the server's state before calling us: move the live
+  // counts of its valid copies. On a crash every copy it hosts also goes
+  // stale (the server is down by now, so note_invalid_ moves no count a
+  // second time).
+  const std::uint32_t rf = map_.replication_factor();
+  for (FileState& f : tracked_)
+    for (std::uint64_t k = 0; k < f.chunks; ++k)
+      for (std::uint32_t r = 0; r < rf; ++r) {
+        if (map_.server_of(k, r) != server) continue;
+        if (!test_bit(f.invalid, k * rf + r)) {
+          if (down)
+            lose_live_(f, k);
+          else
+            gain_live_(f, k);
+        }
+        if (down) note_invalid_(f, k, r);
+      }
   touch_();
   // A restart makes blocked deficits actionable again; restart the daemon if
   // its tick chain had wound down after the jobs finished.
@@ -112,7 +165,6 @@ void RepairManager::post_invalid_copies(pfs::FileId file, std::uint32_t role,
                                         std::vector<std::uint64_t> chunks) {
   if (chunks.empty()) return;
   eng_.after(note_delay_, [this, file, role, chunks = std::move(chunks)] {
-    touch_();
     for (FileState& f : tracked_)
       if (f.id == file)
         for (std::uint64_t k : chunks) note_invalid_(f, k, role);
@@ -126,17 +178,19 @@ bool RepairManager::deficit_actionable_() const {
   const std::uint32_t rf = map_.replication_factor();
   const sim::Time now = eng_.now();
   for (const FileState& f : tracked_)
-    for (std::uint64_t k = 0; k < f.chunks; ++k)
-      for (std::uint32_t r = 0; r < rf; ++r) {
-        const std::size_t slot = k * rf + r;
-        if (!f.invalid[slot] || f.repairing[slot]) continue;
-        if (f.attempts[slot] >= config().repair_attempt_cap) continue;
-        if (injector_->server_down(map_.server_of(k, r))) continue;
-        for (std::uint32_t s = 0; s < rf; ++s)
-          if (s != r && copy_live_(f, k, s) &&
-              !injector_->permanently_down(map_.server_of(k, s), now))
-            return true;
-      }
+    if (any_set_bit(f.invalid, [&](std::size_t slot) {
+          if (f.repairing[slot]) return false;
+          if (f.attempts[slot] >= config().repair_attempt_cap) return false;
+          const std::uint64_t k = slot / rf;
+          const std::uint32_t r = static_cast<std::uint32_t>(slot % rf);
+          if (injector_->server_down(map_.server_of(k, r))) return false;
+          for (std::uint32_t s = 0; s < rf; ++s)
+            if (s != r && copy_live_(f, k, s) &&
+                !injector_->permanently_down(map_.server_of(k, s), now))
+              return true;
+          return false;
+        }))
+      return true;
   return false;
 }
 
@@ -235,10 +289,14 @@ void RepairManager::repair_done_(std::size_t file_idx, std::uint64_t chunk,
   f.repairing[slot] = 0;
   DPAR_ASSERT(in_flight_ > 0, "repair completion without an in-flight op");
   --in_flight_;
-  touch_();
   const std::uint64_t unit = map_.layout().unit_bytes;
   if (fault::ok(st) && f.seq[slot] == issued_seq) {
-    f.invalid[slot] = 0;
+    // Unchanged seq: the copy has been stale since the issue, and its target
+    // never went down (a crash invalidates, bumping seq).
+    DPAR_ASSERT(test_bit(f.invalid, slot) && server_up_(map_.server_of(chunk, role)),
+                "validated repair of a copy that is not stale on an up server");
+    clear_bit(f.invalid, slot);
+    gain_live_(f, chunk);
     f.attempts[slot] = 0;
     ++counters().repair_ops_completed;
     counters().repair_bytes_copied += std::min(unit, f.size - chunk * unit);
@@ -280,35 +338,35 @@ void RepairManager::tick() {
 
   const std::uint32_t rf = map_.replication_factor();
   const std::uint64_t unit = map_.layout().unit_bytes;
+  const std::uint32_t batch = config().repair_batch_chunks;
   std::uint32_t issued = 0;
-  for (std::size_t fi = 0; fi < tracked_.size(); ++fi) {
+  // Stale copies in (file, chunk, role) order, until the batch is full.
+  for (std::size_t fi = 0; fi < tracked_.size() && issued < batch; ++fi) {
     FileState& f = tracked_[fi];
-    for (std::uint64_t k = 0; k < f.chunks && issued < config().repair_batch_chunks;
-         ++k)
-      for (std::uint32_t r = 0; r < rf; ++r) {
-        const std::size_t slot = k * rf + r;
-        if (!f.invalid[slot] || f.repairing[slot]) continue;
-        if (f.attempts[slot] >= config().repair_attempt_cap) continue;
-        const std::uint32_t target = map_.server_of(k, r);
-        if (injector_->permanently_down(target, now)) {
-          // Fixed placement cannot re-home a copy: a fail-stop target leaves
-          // this deficit standing forever. Count it once and stop retrying.
-          f.attempts[slot] = config().repair_attempt_cap;
-          ++counters().repair_blocked_permanent;
-          continue;
-        }
-        if (injector_->server_down(target)) continue;  // wait for the restart
-        std::uint32_t source = UINT32_MAX;
-        for (std::uint32_t s = 0; s < rf && source == UINT32_MAX; ++s)
-          if (s != r && copy_live_(f, k, s)) source = s;
-        if (source == UINT32_MAX) continue;
-        const std::uint64_t bytes = std::min(unit, f.size - k * unit);
-        if (repair_tokens_ < static_cast<double>(bytes)) continue;
-        repair_tokens_ -= static_cast<double>(bytes);
-        issue_repair_(fi, k, r, source);
-        ++issued;
-        if (issued >= config().repair_batch_chunks) break;
+    any_set_bit(f.invalid, [&](std::size_t slot) {
+      if (f.repairing[slot]) return false;
+      if (f.attempts[slot] >= config().repair_attempt_cap) return false;
+      const std::uint64_t k = slot / rf;
+      const std::uint32_t r = static_cast<std::uint32_t>(slot % rf);
+      const std::uint32_t target = map_.server_of(k, r);
+      if (injector_->permanently_down(target, now)) {
+        // Fixed placement cannot re-home a copy: a fail-stop target leaves
+        // this deficit standing forever. Count it once and stop retrying.
+        f.attempts[slot] = config().repair_attempt_cap;
+        ++counters().repair_blocked_permanent;
+        return false;
       }
+      if (injector_->server_down(target)) return false;  // wait for the restart
+      std::uint32_t source = UINT32_MAX;
+      for (std::uint32_t s = 0; s < rf && source == UINT32_MAX; ++s)
+        if (s != r && copy_live_(f, k, s)) source = s;
+      if (source == UINT32_MAX) return false;
+      const std::uint64_t bytes = std::min(unit, f.size - k * unit);
+      if (repair_tokens_ < static_cast<double>(bytes)) return false;
+      repair_tokens_ -= static_cast<double>(bytes);
+      issue_repair_(fi, k, r, source);
+      return ++issued >= batch;
+    });
   }
   if (jobs_live_() || in_flight_ > 0 || deficit_actionable_()) arm_tick_();
 }
@@ -324,11 +382,12 @@ DurabilityReport RepairManager::report() const {
       std::uint32_t live = 0, recoverable = 0;
       for (std::uint32_t r = 0; r < rf; ++r) {
         const std::size_t slot = k * rf + r;
-        rep.invalid_copies_now += f.invalid[slot] ? 1 : 0;
+        const bool invalid = test_bit(f.invalid, slot);
+        rep.invalid_copies_now += invalid ? 1 : 0;
         live += copy_live_(f, k, r) ? 1 : 0;
         const bool gone =
             injector_ && injector_->permanently_down(map_.server_of(k, r), now);
-        recoverable += (!f.invalid[slot] && !gone) ? 1 : 0;
+        recoverable += (!invalid && !gone) ? 1 : 0;
       }
       rep.under_replicated_now += live < rf ? 1 : 0;
       rep.lost_chunks += recoverable == 0 ? 1 : 0;

@@ -13,6 +13,15 @@
 // fabric's switch latency) later. Note effects are commutative (set-a-bit,
 // bump-a-counter), so same-timestamp notes leave the same tracker state in
 // any order.
+//
+// Copy health is tracked incrementally: every chunk carries its live-copy
+// count (valid and on an up server) and the manager a running count of
+// chunks short of rf, both moved only where a copy's liveness changes — an
+// invalidation, a validated repair, a server going down or up. So reading the
+// under-replicated count is O(1), and the tick walks only the set bits of the
+// per-file invalid-copy bitsets. The full chunk x role scan survives as the
+// reference for `report()` and, under DPAR_CHECK_INVARIANTS, for a check at
+// every state change.
 #pragma once
 
 #include <cstdint>
@@ -93,9 +102,11 @@ class RepairManager {
   void post_invalid_copies(pfs::FileId file, std::uint32_t role,
                            std::vector<std::uint64_t> chunks);
 
-  /// Tracker snapshot (typically read after the run).
+  /// Tracker snapshot (typically read after the run), recounted by a full
+  /// scan of every copy.
   DurabilityReport report() const;
-  std::uint64_t under_replicated_now() const;
+  /// Chunks short of rf live copies right now, from the running count (O(1)).
+  std::uint64_t under_replicated_now() const { return under_count_; }
   std::uint64_t repairs_in_flight() const { return in_flight_; }
 
  private:
@@ -103,8 +114,12 @@ class RepairManager {
     pfs::FileId id = 0;
     std::uint64_t size = 0;
     std::uint64_t chunks = 0;
-    /// chunk-major [chunk * rf + role] copy state.
-    std::vector<std::uint8_t> invalid;
+    /// Stale copies: one bit per chunk-major slot [chunk * rf + role], so an
+    /// ascending walk visits copies in (chunk, role) order.
+    std::vector<std::uint64_t> invalid;
+    /// Per-chunk count of live copies: valid and on an up server.
+    std::vector<std::uint32_t> live;
+    /// Remaining per-copy state, indexed by slot.
     std::vector<std::uint32_t> attempts;
     std::vector<std::uint8_t> repairing;
     /// Invalidation sequence per copy: a repair completion only validates
@@ -121,12 +136,18 @@ class RepairManager {
   void repair_done_(std::size_t file_idx, std::uint64_t chunk, std::uint32_t role,
                     std::uint64_t issue_id, std::uint32_t issued_seq,
                     fault::Status st);
-  /// Fold elapsed time into the under-replicated chunk-seconds accumulator,
-  /// then recount. Call around every state change.
+  /// Fold the time since the last call into the under-replicated
+  /// chunk-seconds accumulator, then snapshot the running count. Call after
+  /// every state change.
   void touch_();
-  std::uint64_t count_under_() const;
+  /// Reference recount by a full chunk x role scan (invariant checks).
+  std::uint64_t count_under_scan_() const;
+  bool server_up_(std::uint32_t server) const;
   bool copy_live_(const FileState& f, std::uint64_t chunk,
                   std::uint32_t role) const;
+  /// A copy of `chunk` stopped (lose) or started (gain) being live.
+  void lose_live_(FileState& f, std::uint64_t chunk);
+  void gain_live_(FileState& f, std::uint64_t chunk);
   /// Issue one repair copy source -> target for (file, chunk, role).
   void issue_repair_(std::size_t file_idx, std::uint64_t chunk, std::uint32_t role,
                      std::uint32_t source_role);
@@ -146,7 +167,10 @@ class RepairManager {
   // Token bucket for repair bandwidth.
   double repair_tokens_ = 0.0;
   sim::Time last_tick_ = 0;
-  // Under-replicated chunk-seconds accumulator.
+  /// Chunks with fewer than rf live copies, kept current by lose/gain_live_.
+  std::uint64_t under_count_ = 0;
+  // Under-replicated chunk-seconds accumulator; under_now_ is under_count_
+  // as of the last touch_().
   std::uint64_t under_now_ = 0;
   sim::Time under_since_ = 0;
   double under_chunk_ns_ = 0.0;

@@ -403,6 +403,129 @@ TEST(ReplicationDurability, FailStopCrashBlocksRepairButLosesNoChunkAtRf2) {
   EXPECT_GT(rep.counters.degraded_reads, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Incremental copy tracking vs the full-scan reference
+// ---------------------------------------------------------------------------
+
+/// Drive one tracker through a random sequence of server crashes and
+/// restarts, invalidation notes, direct ticks and engine events (repair
+/// traffic, completions, watchdog timeouts, the re-armed tick chain). After
+/// every step and every event, the running count `under_replicated_now()`
+/// must equal the full-scan recount in `report()`. Returns the ledger so the
+/// caller can check the sequence exercised repair.
+replica::Counters drive_tracker(std::uint32_t rf, replica::Placement placement,
+                                std::uint64_t seed) {
+  harness::TestbedConfig cfg;
+  cfg.data_servers = 5;
+  cfg.compute_nodes = 2;
+  cfg.cores_per_node = 2;
+  cfg.keep_traces = false;
+  cfg.replica.replication_factor = rf;
+  cfg.replica.placement = placement;
+  cfg.replica.repair_batch_chunks = 3;
+  // The plan only arms the injector: Testbed::run is never called, so none of
+  // these crashes fires. Their restart entries keep servers 0-3 recoverable;
+  // server 4 has none, so while it is down its deficits block for good.
+  for (std::uint32_t s = 0; s + 1 < cfg.data_servers; ++s)
+    cfg.fault.server.crashes.push_back({s, sim::secs(1000), sim::secs(1001)});
+  harness::Testbed tb(cfg);
+  replica::RepairManager& rm = *tb.replica_manager();
+  sim::Rng rng(sim::splitmix64(seed));
+  const std::uint64_t unit = cfg.stripe_unit;
+  struct File {
+    pfs::FileId id;
+    std::uint64_t chunks;
+  };
+  std::vector<File> files;
+  auto create = [&](std::uint64_t bytes) {
+    files.push_back({tb.create_file("f" + std::to_string(files.size()), bytes),
+                     (bytes + unit - 1) / unit});
+  };
+  create(20 * unit + 100);
+  create(7 * unit);
+
+  std::string where;
+  auto check = [&] {
+    EXPECT_EQ(rm.under_replicated_now(), rm.report().under_replicated_now)
+        << where << " at t=" << tb.engine().now();
+  };
+  auto run_events = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0;
+         i < n && !testing::Test::HasFailure() && tb.engine().run(1) == 1; ++i)
+      check();
+  };
+  check();
+  for (int step = 0; step < 250 && !testing::Test::HasFailure(); ++step) {
+    const auto server = static_cast<std::uint32_t>(rng.uniform(cfg.data_servers));
+    switch (rng.uniform(7)) {
+      case 0:
+        where = "crash " + std::to_string(server);
+        tb.server(server).crash();
+        break;
+      case 1:
+      case 2:
+        where = "restart " + std::to_string(server);
+        tb.server(server).restart();
+        break;
+      case 3: {
+        const File& f = files[rng.uniform(files.size())];
+        std::vector<std::uint64_t> chunks;
+        for (std::uint64_t n = 1 + rng.uniform(4); n > 0; --n)
+          chunks.push_back(rng.uniform(f.chunks));
+        where = "invalidation note";
+        rm.post_invalid_copies(f.id, static_cast<std::uint32_t>(rng.uniform(rf)),
+                               std::move(chunks));
+        break;
+      }
+      case 4:
+        where = "tick";
+        rm.tick();
+        break;
+      case 5:
+        where = "events";
+        run_events(rng.uniform(300));
+        break;
+      default:
+        // Registration with servers possibly down: the only path that seeds
+        // live counts below rf.
+        where = "create";
+        if (files.size() < 4) create((3 + rng.uniform(9)) * unit + rng.uniform(unit));
+        break;
+    }
+    check();
+  }
+  // Bring every server back and let repair run dry.
+  for (std::uint32_t s = 0; s < cfg.data_servers; ++s) tb.server(s).restart();
+  where = "drain";
+  rm.tick();
+  run_events(1'000'000);
+  check();
+  return rm.total();
+}
+
+TEST(ReplicationTracker, IncrementalCountMatchesFullScan) {
+  std::uint64_t invalidated = 0, completed = 0, failed = 0, blocked = 0;
+  for (const replica::Placement p :
+       {replica::Placement::kNodeLocal, replica::Placement::kRotational,
+        replica::Placement::kRackAware})
+    for (const std::uint32_t rf : {2u, 3u})
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(std::string(to_string(p)) + " rf=" + std::to_string(rf) +
+                     " seed=" + std::to_string(seed));
+        const replica::Counters c = drive_tracker(rf, p, seed);
+        if (HasFailure()) return;
+        invalidated += c.chunks_invalidated;
+        completed += c.repair_ops_completed;
+        failed += c.repair_ops_failed;
+        blocked += c.repair_blocked_permanent;
+      }
+  // The sequences reached every state change the running count follows.
+  EXPECT_GT(invalidated, 0u);
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(blocked, 0u);
+}
+
 #if DPAR_CHECK_INVARIANTS
 TEST(ReplicationDeath, OutOfReplicaRoleTripsAssert) {
   // The failover sequence must stop at rf-1: asking the map for a role past

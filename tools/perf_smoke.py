@@ -32,9 +32,10 @@ MIN_DUTY_RATIO = 1.3
 MIN_DECOMPOSE_SPEEDUP = 2.0
 # Figure/table bench sections are gated as whole-suite events/sec rates
 # (total engine events / total wall): per-experiment walls at DPAR_SCALE=64
-# are sub-second and noisy, the suite aggregate is stable — especially under
-# DPAR_BENCH_REPEAT median timing. 5% guards the mainline simulation benches
-# against engine changes that win a micro but lose end to end.
+# are sub-second and noisy, the suite aggregate is steadier. Each experiment
+# is timed once: DPAR_BENCH_REPEAT does not repeat pool experiments. 5% guards
+# the mainline simulation benches against engine changes that win a micro but
+# lose end to end.
 MAX_FIGURE_REGRESSION = 0.05
 FIGURE_PREFIX = "figures/"
 GATED_POLICIES = ("deadline", "cscan", "cfq", "anticipatory")
