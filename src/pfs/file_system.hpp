@@ -45,16 +45,17 @@ class FileSystem {
   net::Network& network() { return net_; }
   sim::Engine& engine() { return eng_; }
 
-  /// Arm fault injection: clients switch to the timeout/retry request path.
-  /// Null (the default) keeps the fan-in fast path.
+  /// Arm fault injection: clients switch to the retrying request path
+  /// (per-request timeout, capped backoff). Null (the default), without
+  /// replication, keeps the fan-in fast path.
   void set_fault_injector(fault::FaultInjector* inj) { injector_ = inj; }
   fault::FaultInjector* fault_injector() { return injector_; }
 
   /// Arm n-way replication: create() allocates per-role replica regions and
-  /// clients switch to the replicated request path (write fan-out to every
-  /// copy, degraded reads with transparent failover). Null, or a manager
-  /// whose config has replication_factor == 1, keeps every pre-replication
-  /// path byte-for-byte.
+  /// clients take the retrying request path with one shard set per copy
+  /// (write fan-out to every copy, degraded reads with transparent
+  /// failover). Null, or a manager whose config has replication_factor == 1,
+  /// leaves the request path to the fault injector alone.
   void set_replicas(replica::RepairManager* r) { replicas_ = r; }
   replica::RepairManager* replicas() { return replicas_; }
 
@@ -70,8 +71,10 @@ class FileSystem {
   replica::RepairManager* replicas_ = nullptr;
 };
 
-/// Completion of one client I/O call: the bytes the call covered plus the
-/// worst per-server outcome (kOk always, unless fault injection is armed).
+/// Completion of one client I/O call: the bytes the call covered plus its
+/// outcome — the worst shard's, except that a replicated write succeeds when
+/// any one copy's shard set fully succeeded. Always kOk unless fault
+/// injection is armed.
 using IoDoneFn = sim::UniqueFn<void(std::uint64_t, fault::Status)>;
 
 /// Client-side PFS access from one compute node.
@@ -84,14 +87,16 @@ class Client {
 
   /// List I/O: read or write `segments` of `file`. Segments are decomposed
   /// into per-server runs (order-preserving, contiguity-coalescing) and one
-  /// request message goes to each involved server. `done(bytes, status)`
-  /// fires when every server has replied — or, under fault injection, when
-  /// every server has replied, failed definitively, or exhausted the retry
-  /// budget (per-request timeout, capped exponential backoff).
+  /// request message goes to each involved server — per replica role when
+  /// replication is on. `done(bytes, status)` fires when every shard is
+  /// terminal: replied, failed definitively, failed over to another copy's
+  /// shards, or out of retries.
   ///
-  /// The fault-free path allocates nothing per call in steady state: the
-  /// call's fan-in comes from this client's pool and each server request
-  /// from that server's ServerOp pool.
+  /// Two paths serve it. With neither fault injection nor replication armed,
+  /// the fast path fans in over the replies with no timeouts and allocates
+  /// nothing per call in steady state (this client's CallOp pool, each
+  /// server's ServerOp pool). Otherwise the retrying path gives every shard
+  /// a per-request timeout and capped exponential backoff.
   void io(FileId file, std::span<const Segment> segments, bool is_write,
           std::uint64_t context, IoDoneFn done);
 

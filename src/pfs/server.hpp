@@ -88,8 +88,9 @@ class DataServer {
   void set_inter_file_gap(std::uint64_t bytes) { gap_bytes_ = bytes; }
 
   /// Handle a request that has already been delivered to this node.
-  /// Wraps it into a pooled ServerOp; used by the robust, replicated and
-  /// repair paths.
+  /// Wraps it into a pooled ServerOp; used by the client's retrying path and
+  /// by repair. The request travels inside the message closure, so a dropped
+  /// message destroys it unhandled.
   void handle(ServerIoRequest req);
   /// The allocation-free form: `op` came from this server's acquire_op(),
   /// with `op->req` filled in. The server releases it after the reply.
@@ -107,9 +108,6 @@ class DataServer {
   /// Restart after a crash with an empty queue.
   void restart();
   bool is_down() const { return down_; }
-  /// Internal plumbing: deliver a finished request's reply, or squash it when
-  /// the server crashed (epoch changed) since the request was accepted.
-  void deliver_reply(ReplyFn done, fault::Status st, std::uint64_t epoch);
 
   net::NodeId node() const { return node_; }
   disk::BlockDevice& device() { return *dev_; }
@@ -137,6 +135,9 @@ class DataServer {
   /// `n` runs of `op` finished with `st`; replies and releases the op when
   /// none remain.
   void complete_runs_(ServerOp* op, fault::Status st, std::uint64_t n);
+  /// Deliver a finished request's reply, or squash it when the server
+  /// crashed (epoch changed) since the request was accepted.
+  void deliver_reply(ReplyFn done, fault::Status st, std::uint64_t epoch);
 
   sim::Engine& eng_;
   net::NodeId node_;

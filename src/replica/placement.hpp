@@ -63,8 +63,9 @@ constexpr const char* to_string(WriteFanout f) {
 
 struct ReplicaConfig {
   /// Copies per chunk. 1 (the default) disables the whole subsystem: no
-  /// replica regions are allocated, no repair manager is created, and the
-  /// client keeps its pre-replication request paths byte-for-byte.
+  /// replica regions are allocated and no repair manager is created. The
+  /// client then takes its fast path, or the retrying path with one shard
+  /// per server when fault injection is armed.
   std::uint32_t replication_factor = 1;
   Placement placement = Placement::kRotational;
   WriteFanout fanout = WriteFanout::kStar;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "cache/global_cache.hpp"
@@ -190,10 +191,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FuzzFaults, RandomTransientPlansNeverHangOrLeakRequests) {
   // Randomized transient fault plans (rates kept below the level where
-  // permanent failure is possible): every run must complete all jobs, leave
-  // no in-flight client requests, and drain the event queue. Testbed::run
-  // itself throws if the queue drains with jobs unfinished, and an internal
-  // event cap turns a livelock into a loud failure instead of a hang.
+  // permanent failure is possible), unreplicated or at replication factor 2,
+  // so the client's retrying path runs with and without replica roles: every
+  // run must complete all jobs, leave no in-flight client requests, and
+  // drain the event queue. Testbed::run itself throws if the queue drains
+  // with jobs unfinished, and an internal event cap turns a livelock into a
+  // loud failure instead of a hang.
   sim::Rng rng(0xfa57);
   for (int round = 0; round < 8; ++round) {
     harness::TestbedConfig cfg;
@@ -207,6 +210,8 @@ TEST(FuzzFaults, RandomTransientPlansNeverHangOrLeakRequests) {
     cfg.fault.net.drop_rate = 0.02 + 0.04 * rng.chance(0.5);
     cfg.fault.net.delay_rate = 0.1 * rng.chance(0.5);
     cfg.fault.server.stall_rate = 0.05 * rng.chance(0.5);
+    // rf <= data_servers (at least 2) always holds.
+    cfg.replica.replication_factor = 1 + static_cast<std::uint32_t>(rng.uniform(2));
     harness::Testbed tb(cfg);
     wl::DemoConfig dc;
     dc.file = tb.create_file("f", 2 << 20);
@@ -220,12 +225,14 @@ TEST(FuzzFaults, RandomTransientPlansNeverHangOrLeakRequests) {
                     : tb.add_job("j", 2, tb.vanilla(),
                                  [dc](std::uint32_t) { return wl::make_demo(dc); },
                                  dualpar::Policy::kForcedNormal);
-    ASSERT_NO_THROW(tb.run(50'000'000)) << "round " << round;
-    EXPECT_TRUE(job.finished()) << "round " << round;
-    EXPECT_TRUE(tb.engine().empty()) << "round " << round;
+    const std::string where = "round " + std::to_string(round) + " rf " +
+                              std::to_string(cfg.replica.replication_factor);
+    ASSERT_NO_THROW(tb.run(50'000'000)) << where;
+    EXPECT_TRUE(job.finished()) << where;
+    EXPECT_TRUE(tb.engine().empty()) << where;
     const auto c = tb.fault_injector()->total();
     EXPECT_EQ(c.client_ops_started, c.client_ops_finished)
-        << "round " << round << ": leaked in-flight requests";
+        << where << ": leaked in-flight requests";
   }
 }
 
