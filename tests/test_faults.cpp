@@ -12,6 +12,7 @@
 #include "harness/experiment_pool.hpp"
 #include "harness/testbed.hpp"
 #include "metrics/fault_report.hpp"
+#include "pfs/file_system.hpp"
 #include "wl/workloads.hpp"
 
 namespace dpar {
@@ -265,6 +266,47 @@ TEST(FaultInjection, CrashLosesQueuedWorkAndRestartRecovers) {
   EXPECT_EQ(r.counters.emc_degraded_entries, 1u);
   EXPECT_EQ(r.counters.emc_degraded_exits, 1u);
   EXPECT_FALSE(r.emc_degraded_at_end);
+}
+
+TEST(FaultInjection, ReplyDuringBackoffSendsNoRetry) {
+  // Every server request stalls 120 ms, longer than the ~103 ms timeout of a
+  // 64 KB read, so the first attempt times out and a retry waits out its
+  // 50 ms backoff. The late reply lands inside that backoff and completes
+  // the shard: the retry must then stay unsent, or the server does the I/O
+  // twice and the client sees a stale reply. Inputs: replication factor,
+  // with exactly that many servers.
+  for (std::uint32_t rf : {1u, 2u}) {
+    SCOPED_TRACE("rf " + std::to_string(rf));
+    harness::TestbedConfig cfg;
+    cfg.data_servers = rf;
+    cfg.compute_nodes = 1;
+    cfg.keep_traces = false;
+    cfg.fault.server.stall_rate = 1.0;
+    cfg.fault.server.stall_time = sim::msec(120);
+    cfg.replica.replication_factor = rf;
+    harness::Testbed tb(cfg);
+    const pfs::FileId f = tb.create_file("f", 1 << 20);
+    pfs::Client client(tb.fs(), tb.compute_node(0).id());
+    const pfs::Segment seg{0, 64 * 1024};
+    std::uint64_t bytes = 0;
+    fault::Status status = fault::Status::kTimeout;
+    client.io(f, {&seg, 1}, /*is_write=*/false, 1,
+              [&](std::uint64_t b, fault::Status st) {
+                bytes = b;
+                status = st;
+              });
+    tb.engine().run();
+    const fault::Counters& c = tb.fault_injector()->total();
+    EXPECT_EQ(bytes, 64u * 1024);
+    EXPECT_EQ(status, fault::Status::kOk);
+    EXPECT_EQ(c.client_timeouts, 1u);
+    EXPECT_EQ(c.client_ops_finished, 1u);
+    std::uint64_t handled = 0;
+    for (std::uint32_t s = 0; s < tb.num_servers(); ++s)
+      handled += tb.server(s).requests_handled();
+    EXPECT_EQ(handled, 1u);
+    EXPECT_EQ(c.client_stale_replies, 0u);
+  }
 }
 
 TEST(FaultInjection, FaultLedgerFormatsEveryCounter) {
