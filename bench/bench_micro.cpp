@@ -255,49 +255,6 @@ BENCHMARK_CAPTURE(BM_SchedDutyCycle, anticipatory_flat,
 BENCHMARK_CAPTURE(BM_SchedDutyCycle, anticipatory_ref,
                   +[] { return disk::make_reference_anticipatory_scheduler(); });
 
-// The batch hand-off a PFS server uses for a decomposed list-I/O request:
-// enqueue_batch on the flat scheduler merges one sorted run; the reference
-// falls back to per-request enqueue.
-void BM_SchedEnqueueBatch(benchmark::State& state, SchedFactory make) {
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    auto sched = make();
-    sim::Rng rng(13);
-    std::vector<disk::Request> batch(64);
-    std::uint64_t next_id = 1;
-    for (int round = 0; round < 8; ++round) {
-      // An ascending run, like decompose_segment emits.
-      std::uint64_t lba = rng.uniform(1 << 20);
-      for (auto& r : batch) {
-        r = disk::Request{};
-        r.id = next_id++;
-        r.lba = lba;
-        lba += 64 + rng.uniform(64);
-        r.sectors = 32;
-        r.context = 5;
-      }
-      sched->enqueue_batch(batch.data(), batch.size(), 0);
-    }
-    std::uint64_t head = 0;
-    while (sched->pending() > 0) {
-      auto d = sched->next(head, 0);
-      if (d.kind != disk::Decision::Kind::kDispatch) break;
-      head = d.request.end_lba();
-    }
-    sink = head;
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 8 * 64);
-}
-BENCHMARK_CAPTURE(BM_SchedEnqueueBatch, cscan_flat,
-                  +[] { return disk::make_cscan_scheduler(); });
-BENCHMARK_CAPTURE(BM_SchedEnqueueBatch, cscan_ref,
-                  +[] { return disk::make_reference_cscan_scheduler(); });
-BENCHMARK_CAPTURE(BM_SchedEnqueueBatch, deadline_flat,
-                  +[] { return disk::make_deadline_scheduler(); });
-BENCHMARK_CAPTURE(BM_SchedEnqueueBatch, deadline_ref,
-                  +[] { return disk::make_reference_deadline_scheduler(); });
-
 // Network send/deliver churn: the per-message path is one Transit control
 // block + two FifoResource hops; one item = one delivered message.
 void BM_NetworkSendDeliver(benchmark::State& state) {

@@ -106,7 +106,7 @@ ExperimentStats fig5_s3asim(std::uint32_t queries, Variant v, std::uint64_t scal
 
 /// Table II / Fig 6: two concurrent 64-rank mpi-io-tests. value = system
 /// MB/s; aux = {mean seek distance on server 1}; detail = server 1's trace,
-/// 1 s from the first job's mid-run (std::vector<disk::TraceEvent>).
+/// 1 s from its median dispatch (std::vector<disk::TraceEvent>).
 ExperimentStats table2_pair(bool is_write, Variant v, std::uint64_t scale);
 
 /// Fig 7's join time and per-second series.

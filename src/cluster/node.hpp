@@ -38,8 +38,6 @@ class ComputeNode {
 
   std::uint32_t id() const { return node_id_; }
   std::uint32_t cores() const { return cores_; }
-  std::uint32_t busy_cores() const { return busy_; }
-  std::size_t queued_tasks() const { return normal_q_.size() + ghost_q_.size(); }
   sim::Time normal_cpu_time() const { return normal_time_; }
   sim::Time ghost_cpu_time() const { return ghost_time_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "fault/injector.hpp"
 #include "sim/debug.hpp"
@@ -48,20 +47,6 @@ void DiskDevice::submit(Request r) {
     return;
   }
   poll();
-}
-
-void DiskDevice::submit_batch(std::vector<Request>& batch) {
-  // While the device is idle (or plugged) each submit may change dispatch
-  // state, so requests go through the scalar path one by one. Once busy_, a
-  // submit reduces to arrival-stamp + enqueue (submit() returns before any
-  // plug/poll logic) — so the whole tail can be handed to the scheduler in
-  // one enqueue_batch call with identical semantics.
-  std::size_t i = 0;
-  for (; i < batch.size() && !busy_; ++i) submit(std::move(batch[i]));
-  if (i == batch.size()) return;
-  const sim::Time now = eng_.now();
-  for (std::size_t j = i; j < batch.size(); ++j) batch[j].arrival = now;
-  sched_->enqueue_batch(batch.data() + i, batch.size() - i, now);
 }
 
 void DiskDevice::poll() {
@@ -120,11 +105,8 @@ void DiskDevice::poll() {
 
 Raid0Device::Raid0Device(sim::Engine& eng, DiskParams params,
                          std::unique_ptr<IoScheduler> s0,
-                         std::unique_ptr<IoScheduler> s1, std::uint64_t chunk_sectors)
-    : eng_(eng),
-      d0_(eng, params, std::move(s0)),
-      d1_(eng, params, std::move(s1)),
-      chunk_sectors_(chunk_sectors) {}
+                         std::unique_ptr<IoScheduler> s1)
+    : eng_(eng), d0_(eng, params, std::move(s0)), d1_(eng, params, std::move(s1)) {}
 
 std::uint64_t Raid0Device::capacity_sectors() const {
   return d0_.capacity_sectors() + d1_.capacity_sectors();
@@ -145,12 +127,12 @@ void Raid0Device::submit(Request r) {
   std::uint64_t lba = r.lba;
   std::uint64_t remaining = r.sectors;
   while (remaining > 0) {
-    const std::uint64_t chunk = lba / chunk_sectors_;
-    const std::uint64_t within = lba % chunk_sectors_;
-    const std::uint64_t take = std::min(remaining, chunk_sectors_ - within);
+    const std::uint64_t chunk = lba / kChunkSectors;
+    const std::uint64_t within = lba % kChunkSectors;
+    const std::uint64_t take = std::min(remaining, kChunkSectors - within);
     const int member = static_cast<int>(chunk % 2);
     // Member-local address: chunk index within the member, same offset.
-    const std::uint64_t mlba = (chunk / 2) * chunk_sectors_ + within;
+    const std::uint64_t mlba = (chunk / 2) * kChunkSectors + within;
     lba += take;
     remaining -= take;
     if (last_piece[member] >= 0) {

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "disk/blktrace.hpp"
 #include "disk/model.hpp"
@@ -23,14 +22,6 @@ class BlockDevice {
  public:
   virtual ~BlockDevice() = default;
   virtual void submit(Request r) = 0;
-  /// Submit a whole decomposed list-I/O batch. Semantically identical to
-  /// calling submit() on each request in order (completion order and timing
-  /// are unchanged); devices may override to hand the scheduler the bulk of
-  /// the batch in one call instead of N queue round-trips. The requests are
-  /// moved out; the caller keeps the vector (and its capacity) and clears it.
-  virtual void submit_batch(std::vector<Request>& batch) {
-    for (Request& r : batch) submit(std::move(r));
-  }
   virtual std::uint64_t capacity_sectors() const = 0;
   /// Arm fault injection for this device. `owner` identifies the data server
   /// the device belongs to (used to match per-server bad-sector ranges). A
@@ -46,7 +37,6 @@ class DiskDevice final : public BlockDevice {
   DiskDevice(sim::Engine& eng, DiskParams params, std::unique_ptr<IoScheduler> sched);
 
   void submit(Request r) override;
-  void submit_batch(std::vector<Request>& batch) override;
   std::uint64_t capacity_sectors() const override { return model_.params().capacity_sectors(); }
   void set_fault_injector(fault::FaultInjector* inj, std::uint32_t owner) override {
     injector_ = inj;
@@ -87,8 +77,8 @@ class DiskDevice final : public BlockDevice {
 };
 
 /// RAID-0 pair (the paper's per-server hardware RAID of two drives): stripes
-/// requests over two member disks at a fixed chunk size and completes when
-/// all member requests finish.
+/// requests over two member disks in 64 KB chunks and completes when all
+/// member requests finish.
 ///
 /// A contiguous request becomes at most one piece per member: the next chunk
 /// a member holds after chunk c is chunk c+2, which starts exactly where c
@@ -98,7 +88,7 @@ class DiskDevice final : public BlockDevice {
 class Raid0Device final : public BlockDevice {
  public:
   Raid0Device(sim::Engine& eng, DiskParams params, std::unique_ptr<IoScheduler> s0,
-              std::unique_ptr<IoScheduler> s1, std::uint64_t chunk_sectors = 128);
+              std::unique_ptr<IoScheduler> s1);
 
   void submit(Request r) override;
   std::uint64_t capacity_sectors() const override;
@@ -118,9 +108,10 @@ class Raid0Device final : public BlockDevice {
   };
   void piece_done_(Split* sp, fault::Status st);
 
+  static constexpr std::uint64_t kChunkSectors = 128;
+
   sim::Engine& eng_;
   DiskDevice d0_, d1_;
-  std::uint64_t chunk_sectors_;
   std::uint64_t next_id_ = 1;
   sim::Pool<Split> splits_;
 };

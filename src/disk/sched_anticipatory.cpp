@@ -31,13 +31,6 @@ class AnticipatoryScheduler final : public IoScheduler {
     sorted_.insert(std::move(r));
   }
 
-  void enqueue_batch(Request* batch, std::size_t n, sim::Time now) override {
-    // Stats depend only on arrival order, not on queue contents, so they can
-    // all be folded in before the single batch merge.
-    for (std::size_t i = 0; i < n; ++i) update_stats(batch[i], now);
-    sorted_.insert_batch(batch, n);
-  }
-
   Decision next(std::uint64_t head_lba, sim::Time now) override {
     if (sorted_.empty()) {
       if (anticipating_ && now < antic_deadline_)

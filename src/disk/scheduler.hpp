@@ -41,13 +41,6 @@ class IoScheduler {
 
   virtual void enqueue(Request r, sim::Time now) = 0;
 
-  /// Enqueue a decomposed batch in order. Equivalent to calling enqueue() on
-  /// each request; flat implementations override to insert the whole run with
-  /// one sort/merge instead of n queue walks.
-  virtual void enqueue_batch(Request* batch, std::size_t n, sim::Time now) {
-    for (std::size_t i = 0; i < n; ++i) enqueue(std::move(batch[i]), now);
-  }
-
   /// Choose the next action. Called whenever the disk becomes free, a new
   /// request arrives while it is free, or a previously returned wait deadline
   /// expires.
@@ -69,10 +62,9 @@ std::unique_ptr<IoScheduler> make_cscan_scheduler();
 
 struct CfqParams {
   sim::Time slice_sync = sim::msec(100);  ///< time slice per context
-  sim::Time slice_idle = sim::msec(8);    ///< anticipation window
-  /// Contexts whose mean think time exceeds the idle window are not worth
-  /// idling for (mirrors CFQ's ttime heuristic).
-  bool think_time_gate = true;
+  /// Anticipation window. Contexts whose mean think time exceeds it are not
+  /// worth idling for (mirrors CFQ's ttime heuristic).
+  sim::Time slice_idle = sim::msec(8);
 };
 std::unique_ptr<IoScheduler> make_cfq_scheduler(CfqParams p = {});
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "disk/request.hpp"
-#include "sim/debug.hpp"
 
 namespace dpar::dualpar {
 
@@ -12,62 +11,27 @@ Emc::Emc(sim::Engine& eng, Params params, std::vector<pfs::DataServer*> servers)
     : eng_(eng), params_(params), servers_(std::move(servers)) {}
 
 Emc::JobEntry* Emc::find_job(std::uint32_t job_id) {
-  if (job_id >= slot_of_.size() || slot_of_[job_id] == 0) return nullptr;
-  return &entries_[slot_of_[job_id] - 1];
+  if (job_id == 0 || job_id > entries_.size()) return nullptr;
+  return &entries_[job_id - 1];
 }
 
 const Emc::JobEntry* Emc::find_job(std::uint32_t job_id) const {
-  if (job_id >= slot_of_.size() || slot_of_[job_id] == 0) return nullptr;
-  return &entries_[slot_of_[job_id] - 1];
+  if (job_id == 0 || job_id > entries_.size()) return nullptr;
+  return &entries_[job_id - 1];
 }
 
 void Emc::register_job(mpi::Job& job, Policy policy) {
+  if (job.id() != entries_.size() + 1)
+    throw std::invalid_argument(
+        "Emc::register_job: job ids must be registered as 1, 2, 3, ...");
   JobEntry e;
-  e.id = job.id();
   e.job = &job;
   e.policy = policy;
   switch (policy) {
     case Policy::kForcedDataDriven: e.mode = Mode::kDataDriven; break;
     default: e.mode = Mode::kNormal; break;
   }
-  // Registration is rare (once per job); sorted insertion keeps tick()'s
-  // iteration in ascending id order. Re-registering an id replaces it.
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), e.id,
-      [](const JobEntry& a, std::uint32_t id) { return a.id < id; });
-  if (it != entries_.end() && it->id == e.id) {
-    *it = std::move(e);
-  } else {
-    it = entries_.insert(it, std::move(e));
-  }
-  if (slot_of_.size() <= entries_.back().id) slot_of_.resize(entries_.back().id + 1, 0);
-  // Indices at and after the insertion point shifted by one.
-  for (auto j = it; j != entries_.end(); ++j)
-    slot_of_[j->id] = static_cast<std::uint32_t>(j - entries_.begin()) + 1;
-  DPAR_IF_CHECKING(check_invariants());
-}
-
-void Emc::check_invariants() const {
-  // The flat job vector and the id -> slot side table must agree exactly:
-  // entries ascending by id (tick()'s float-accumulation order), every entry
-  // reachable through its slot, and no slot pointing at a foreign entry.
-  std::size_t mapped = 0;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (i > 0)
-      DPAR_ASSERT(entries_[i - 1].id < entries_[i].id,
-                  "EMC: job entries not in strictly ascending id order");
-    DPAR_ASSERT(entries_[i].id < slot_of_.size(),
-                "EMC: job id beyond the slot table");
-    DPAR_ASSERT(slot_of_[entries_[i].id] == i + 1,
-                "EMC: id -> slot index disagrees with the flat job vector");
-  }
-  for (std::uint32_t slot : slot_of_)
-    if (slot != 0) {
-      ++mapped;
-      DPAR_ASSERT(slot <= entries_.size(), "EMC: slot table points past entries");
-    }
-  DPAR_ASSERT(mapped == entries_.size(),
-              "EMC: slot table maps a different number of jobs than exist");
+  entries_.push_back(std::move(e));
 }
 
 Mode Emc::mode(std::uint32_t job_id) const {
@@ -181,8 +145,8 @@ void Emc::tick() {
       ++seek_n;
     }
   }
-  last_seek_ = seek_n ? seek_sum / seek_n : 0.0;
-  seek_series_.add(now, last_seek_);
+  const double seek = seek_n ? seek_sum / seek_n : 0.0;
+  seek_series_.add(now, seek);
 
   // Client-side: per-job ReqDist and I/O ratio.
   double req_sum = 0.0;
@@ -212,14 +176,14 @@ void Emc::tick() {
       e.io_ratio = static_cast<double>(dio) / static_cast<double>(dio + dcomp);
   }
   last_req_ = req_n ? req_sum / req_n : 0.0;
-  last_ratio_ = last_req_ > 0.0 ? last_seek_ / last_req_ : 0.0;
+  const double ratio = last_req_ > 0.0 ? seek / last_req_ : 0.0;
 
   // Mode decisions, with confirmation slots and a minimum dwell so the
   // controller does not flap (the data-driven mode's own effect on seek
   // distances would immediately disqualify it again).
   for (JobEntry& e : entries_) {
     if (e.policy != Policy::kAdaptive || e.latched || e.job->finished()) continue;
-    const Mode want = (last_ratio_ > params_.t_improvement &&
+    const Mode want = (ratio > params_.t_improvement &&
                        e.io_ratio > params_.io_ratio_threshold)
                           ? Mode::kDataDriven
                           : Mode::kNormal;

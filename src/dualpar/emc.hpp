@@ -34,6 +34,8 @@ class Emc : public mpiio::RequestObserver {
  public:
   Emc(sim::Engine& eng, Params params, std::vector<pfs::DataServer*> servers);
 
+  /// Jobs register once each, in id order 1, 2, 3, … (Testbed::add_job);
+  /// any other id throws std::invalid_argument.
   void register_job(mpi::Job& job, Policy policy);
   Mode mode(std::uint32_t job_id) const;
 
@@ -52,7 +54,6 @@ class Emc : public mpiio::RequestObserver {
   void note_server_state(std::uint32_t server, bool down);
   /// True while EMC is forcing vanilla execution because of faults.
   bool degraded() const { return degraded_; }
-  double error_ewma() const { return error_ewma_; }
   /// Route degraded entry/exit counts into a run's fault ledger (optional).
   void set_fault_injector(fault::FaultInjector* inj) { injector_ = inj; }
 
@@ -67,23 +68,14 @@ class Emc : public mpiio::RequestObserver {
   /// One evaluation step (also callable directly from tests).
   void tick();
 
-  /// Debug invariant layer: verifies the id -> slot side table agrees with
-  /// the flat, id-sorted job vector. Aborts via DPAR_ASSERT on violation.
-  /// Called after every register_job when DPAR_CHECK_INVARIANTS is compiled
-  /// in, and directly by tests.
-  void check_invariants() const;
-
   // ---- Introspection for experiments ----
-  double last_seek_dist_bytes() const { return last_seek_; }
   double last_req_dist_bytes() const { return last_req_; }
-  double last_improvement_ratio() const { return last_ratio_; }
   const sim::TimeSeries& seek_series() const { return seek_series_; }
   const sim::TimeSeries& mode_series(std::uint32_t job_id) const;
   std::uint64_t mode_switches() const { return switches_; }
 
  private:
   struct JobEntry {
-    std::uint32_t id = 0;
     mpi::Job* job = nullptr;
     Policy policy = Policy::kAdaptive;
     Mode mode = Mode::kNormal;
@@ -111,21 +103,17 @@ class Emc : public mpiio::RequestObserver {
   sim::Engine& eng_;
   Params params_;
   std::vector<pfs::DataServer*> servers_;
-  // Job table: entries kept in ascending job-id order (tick() iterates them,
-  // and the iteration order fixes the floating-point accumulation order, so
-  // it must match the std::map this replaces) plus a dense id → index+1
-  // side table for O(1) lookup on the per-op paths (observe, mode).
+  // Job table indexed by job id - 1: O(1) lookup on the per-op paths
+  // (observe, mode), and tick() iterates in ascending id order, which fixes
+  // its floating-point accumulation order.
   std::vector<JobEntry> entries_;
-  std::vector<std::uint32_t> slot_of_;  ///< job id -> entries_ index + 1; 0 = absent
   fault::FaultInjector* injector_ = nullptr;
   std::uint32_t servers_down_ = 0;
   double error_ewma_ = 0.0;
   bool degraded_ = false;
   bool ticking_ = false;
   // Fold state: written only by tick().
-  double last_seek_ = 0.0;
   double last_req_ = 0.0;
-  double last_ratio_ = 0.0;
   std::uint64_t switches_ = 0;
   sim::TimeSeries seek_series_;
 };

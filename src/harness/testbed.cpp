@@ -12,13 +12,9 @@ std::unique_ptr<disk::BlockDevice> make_device(sim::Engine& eng,
   const disk::DiskParams& params = server < cfg.per_server_disk.size()
                                        ? cfg.per_server_disk[server]
                                        : cfg.disk;
-  if (cfg.raid0) {
-    return std::make_unique<disk::Raid0Device>(eng, params,
-                                               disk::make_scheduler(cfg.scheduler),
-                                               disk::make_scheduler(cfg.scheduler));
-  }
-  return std::make_unique<disk::DiskDevice>(eng, params,
-                                            disk::make_scheduler(cfg.scheduler));
+  return std::make_unique<disk::Raid0Device>(eng, params,
+                                             disk::make_scheduler(cfg.scheduler),
+                                             disk::make_scheduler(cfg.scheduler));
 }
 }  // namespace
 
@@ -54,8 +50,7 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
   }
 
   fs_ = std::make_unique<pfs::FileSystem>(
-      eng_, *net_, /*metadata_node=*/cfg_.data_servers, raw_servers,
-      pfs::StripeLayout{cfg_.stripe_unit, cfg_.data_servers});
+      eng_, *net_, raw_servers, pfs::StripeLayout{cfg_.stripe_unit, cfg_.data_servers});
   clients_ = std::make_unique<mpiio::ClientPool>(*fs_);
   cache::CacheParams cp = cfg_.cache;
   cp.chunk_bytes = cfg_.stripe_unit;  // chunk == stripe unit (§IV-D)
@@ -126,7 +121,7 @@ mpi::Job& Testbed::add_job(const std::string& name, std::uint32_t nprocs,
                            mpi::IoDriver& driver, const mpi::Job::ProgramFactory& factory,
                            dualpar::Policy policy, sim::Time start_at) {
   jobs_.push_back(
-      std::make_unique<mpi::Job>(eng_, next_job_id_++, name, driver, net_.get()));
+      std::make_unique<mpi::Job>(eng_, next_job_id_++, name, driver, *net_));
   mpi::Job& job = *jobs_.back();
   job.spawn(nprocs, compute_nodes(), factory, next_gid_);
   next_gid_ += nprocs;

@@ -36,7 +36,7 @@ struct TestbedConfig {
   std::uint32_t compute_nodes = 4;     ///< nodes running MPI processes
   std::uint32_t cores_per_node = 48;   ///< paper: 48-core Opteron nodes
   std::uint64_t stripe_unit = 64 * 1024;
-  bool raid0 = true;                   ///< per-server RAID of two drives
+  /// Parameters of each drive; every data server stripes over a RAID-0 pair.
   disk::DiskParams disk;
   /// Optional per-server disk overrides (index = server id); servers beyond
   /// the vector use `disk`. Models heterogeneous or degraded storage (the

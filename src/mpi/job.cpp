@@ -117,7 +117,7 @@ void Process::handle(OpEnd) {
 }
 
 Job::Job(sim::Engine& eng, std::uint32_t id, std::string name, IoDriver& driver,
-         net::Network* net)
+         net::Network& net)
     : eng_(eng), id_(id), name_(std::move(name)), driver_(driver), net_(net) {}
 
 void Job::spawn(std::uint32_t nprocs, const std::vector<cluster::ComputeNode*>& nodes,
@@ -205,13 +205,8 @@ bool Job::all_parked() const {
 
 void Job::comm_transfer(std::uint32_t src_rank, std::uint32_t dst_rank,
                         std::uint64_t bytes, sim::UniqueFunction done) {
-  if (net_ != nullptr) {
-    net_->send(procs_[src_rank]->node().id(), procs_[dst_rank]->node().id(), bytes,
-               std::move(done));
-    return;
-  }
-  // No fabric attached: latency + bandwidth formula.
-  eng_.after(sim::usec(50) + sim::transfer_time(bytes, 125e6), std::move(done));
+  net_.send(procs_[src_rank]->node().id(), procs_[dst_rank]->node().id(), bytes,
+            std::move(done));
 }
 
 void Job::comm_send(Process& proc, std::uint32_t dest, std::uint64_t bytes, int tag,
@@ -257,10 +252,7 @@ void Job::process_finished(Process& proc) {
   ++finished_;
   // A finishing process may complete a barrier the rest are waiting on.
   release_barrier_if_ready();
-  if (finished_ == nprocs()) {
-    completion_time_ = eng_.now();
-    if (on_complete_) on_complete_();
-  }
+  if (finished_ == nprocs()) completion_time_ = eng_.now();
 }
 
 sim::Histogram Job::read_latency() const {

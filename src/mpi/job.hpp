@@ -122,10 +122,9 @@ class Job {
  public:
   using ProgramFactory = std::function<std::unique_ptr<Program>(std::uint32_t rank)>;
 
-  /// `net` carries point-to-point messages; without one, transfers are
-  /// approximated by a latency/bandwidth formula (unit-test convenience).
+  /// `net` carries the ranks' point-to-point messages.
   Job(sim::Engine& eng, std::uint32_t id, std::string name, IoDriver& driver,
-      net::Network* net = nullptr);
+      net::Network& net);
 
   /// Create `nprocs` rank processes, distributed round-robin over `nodes`.
   /// `first_global_id` spaces process ids so concurrent jobs don't collide.
@@ -133,8 +132,6 @@ class Job {
              const ProgramFactory& factory, std::uint32_t first_global_id);
 
   void start();
-
-  void set_on_complete(std::function<void()> cb) { on_complete_ = std::move(cb); }
 
   std::uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -189,12 +186,11 @@ class Job {
   std::uint32_t id_;
   std::string name_;
   IoDriver& driver_;
-  net::Network* net_;
+  net::Network& net_;
   std::vector<std::unique_ptr<Process>> procs_;
   std::uint32_t finished_ = 0;
   sim::Time start_time_ = -1;
   sim::Time completion_time_ = -1;
-  std::function<void()> on_complete_;
 
   // Barrier state for the current epoch. Waiters carry their rank so the
   // release can sort them into canonical rank order.

@@ -25,7 +25,10 @@ void VanillaDriver::io(mpi::Process& proc, const mpi::IoCall& call,
 
 void VanillaDriver::raw_io(mpi::Process& proc, const mpi::IoCall& call,
                            sim::UniqueFunction done) {
-  if (piecewise_strided_ && call.segments.size() > 1) {
+  // Independent strided I/O issues one contiguous piece per round trip ("a
+  // process issues its synchronous read requests one at a time", §II): the
+  // behaviour DualPar's request aggregation removes.
+  if (call.segments.size() > 1) {
     issue_piece(new PieceWalk{this, &proc, call, 0, std::move(done)});
     return;
   }

@@ -20,12 +20,6 @@ class VanillaDriver : public mpi::IoDriver {
 
   std::string name() const override { return "vanilla-mpiio"; }
 
-  /// Independent strided I/O issues one contiguous piece per round trip
-  /// ("a process issues its synchronous read requests one at a time", §II) —
-  /// the behaviour DualPar's request aggregation removes. Disable to grant
-  /// vanilla I/O full list-I/O batching (ablation).
-  void set_piecewise_strided(bool v) { piecewise_strided_ = v; }
-
  protected:
   /// Same request path as io() but without the ADIO observation hook — for
   /// wrappers (DualPar) that already observed the application call and only
@@ -44,8 +38,6 @@ class VanillaDriver : public mpi::IoDriver {
   /// Issue the next contiguous piece of `w` (one heap control block per
   /// strided call; per-piece callbacks capture only the block pointer).
   void issue_piece(PieceWalk* w);
-
-  bool piecewise_strided_ = true;
 };
 
 }  // namespace dpar::mpiio

@@ -3,7 +3,6 @@
 #include <memory>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "fault/injector.hpp"
 
@@ -22,7 +21,7 @@ void DataServer::allocate(FileId file, std::uint64_t bytes) {
   if (extents_.count(file) != 0) return;  // idempotent
   const std::uint64_t sectors = disk::bytes_to_sectors(bytes);
   Extent e{next_free_sector_, sectors};
-  next_free_sector_ += sectors + disk::bytes_to_sectors(gap_bytes_);
+  next_free_sector_ += sectors + disk::bytes_to_sectors(kInterFileGapBytes);
   if (next_free_sector_ > dev_->capacity_sectors())
     throw std::runtime_error("DataServer: disk full");
   extents_.emplace(file, e);
@@ -135,25 +134,21 @@ void DataServer::start_disk_io_(ServerOp* op) {
     return;
   }
   // The +1 keeps op alive through the loop even if every run is a cache hit
-  // (the matching completion is below, after submit_batch); nothing between
-  // here and there fires engine events, so completion order is unchanged.
+  // (the matching completion is below, after the loop).
   op->outstanding = req.runs.size() + 1;
-  // Decompose the whole list-I/O request first, then hand the disk every
-  // miss in one submit_batch() call — the scheduler sorts the batch as a
-  // unit instead of paying a queue walk per run. Runs that are exactly
-  // adjacent on this server's extent (a striped client segment lands here as
-  // a train of locally-contiguous chunks) coalesce into one disk request, so
-  // the train costs one completion event per (server, request) span instead
-  // of one per chunk.
-  std::vector<disk::Request>& batch = batch_;
-  batch.clear();
-  // Byte span and merged-run count of the batch's trailing request, for the
-  // coalesced cache insert and fan-in.
+  // Runs that are exactly adjacent on this server's extent (a striped client
+  // segment lands here as a train of locally-contiguous chunks) coalesce
+  // into one disk request, so the train costs one completion event per
+  // (server, request) span instead of one per chunk. Each disk request is
+  // submitted in run order as soon as the next miss cannot extend it.
+  disk::Request tail;
+  // Byte span and merged-run count of `tail`, for the coalesced cache insert
+  // and fan-in; tail_runs == 0 means no request is open.
   std::uint64_t tail_offset = 0, tail_end = 0, tail_runs = 0;
-  auto seal_tail = [this, op, &batch, &tail_offset, &tail_end, &tail_runs] {
-    if (batch.empty() || tail_runs == 0) return;
+  auto seal_tail = [this, op, &tail, &tail_offset, &tail_end, &tail_runs] {
+    if (tail_runs == 0) return;
     const std::uint64_t off = tail_offset, len = tail_end - tail_offset, n = tail_runs;
-    batch.back().done = [this, op, off, len, n](fault::Status st) {
+    tail.done = [this, op, off, len, n](fault::Status st) {
       // A failed span caches nothing: the sectors never produced data.
       if (cache_.enabled() && fault::ok(st)) cache_.insert(op->req.file, off, len);
       // One count per coalesced run keeps the fan-in identical to the
@@ -161,6 +156,7 @@ void DataServer::start_disk_io_(ServerOp* op) {
       complete_runs_(op, st, n);
     };
     tail_runs = 0;
+    dev_->submit(std::move(tail));
   };
   for (const ServerRun& run : req.runs) {
     // Page cache: resident reads skip the disk entirely; misses may be
@@ -187,31 +183,25 @@ void DataServer::start_disk_io_(ServerOp* op) {
     const std::uint64_t sectors = disk::bytes_to_sectors(length);
     if (lba + sectors > extent.base_lba + extent.sectors + 8)
       throw std::runtime_error("DataServer::handle: run beyond extent");
-    if (tail_runs > 0 && batch.back().lba + batch.back().sectors == lba &&
-        tail_end == run.local_offset) {
+    if (tail_runs > 0 && tail.lba + tail.sectors == lba && tail_end == run.local_offset) {
       // Contiguous with the previous miss: grow that disk request in place.
-      batch.back().sectors += static_cast<std::uint32_t>(sectors);
+      tail.sectors += static_cast<std::uint32_t>(sectors);
       tail_end = run.local_offset + length;
       ++tail_runs;
       continue;
     }
     seal_tail();
-    disk::Request dr;
-    dr.id = next_req_id_++;
-    dr.lba = lba;
-    dr.sectors = static_cast<std::uint32_t>(sectors);
-    dr.is_write = req.is_write;
-    dr.context = params_.single_disk_context ? 0 : req.context;
-    batch.push_back(std::move(dr));
+    tail = disk::Request{};
+    tail.id = next_req_id_++;
+    tail.lba = lba;
+    tail.sectors = static_cast<std::uint32_t>(sectors);
+    tail.is_write = req.is_write;
+    tail.context = params_.single_disk_context ? 0 : req.context;
     tail_offset = run.local_offset;
     tail_end = run.local_offset + length;
     tail_runs = 1;
   }
   seal_tail();
-  if (!batch.empty()) {
-    dev_->submit_batch(batch);
-    batch.clear();
-  }
   complete_runs_(op, fault::Status::kOk, 1);
 }
 

@@ -84,8 +84,6 @@ class DataServer {
   /// occupy disjoint disk regions — seeks between two programs' files are
   /// then long, as on a real aged file system.
   void allocate(FileId file, std::uint64_t bytes);
-  bool has_file(FileId file) const { return extents_.count(file) != 0; }
-  void set_inter_file_gap(std::uint64_t bytes) { gap_bytes_ = bytes; }
 
   /// Handle a request that has already been delivered to this node.
   /// Wraps it into a pooled ServerOp; used by the client's retrying path and
@@ -129,6 +127,8 @@ class DataServer {
     std::uint64_t base_lba;
     std::uint64_t sectors;
   };
+  /// Unallocated space the bump allocator leaves between two files.
+  static constexpr std::uint64_t kInterFileGapBytes = 1ull << 20;
 
   /// Service-thread stage: decompose the op's runs into disk requests.
   void start_disk_io_(ServerOp* op);
@@ -153,15 +153,12 @@ class DataServer {
   std::uint64_t epoch_ = 0;
   std::unordered_map<FileId, Extent> extents_;
   std::uint64_t next_free_sector_ = 2048;  ///< leave a small metadata region
-  std::uint64_t gap_bytes_ = 1ull << 20;
   std::uint64_t next_req_id_ = 1;
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t disk_bytes_read_ = 0;
   std::uint64_t requests_ = 0;
   sim::Pool<ServerOp> ops_;
-  /// The disk batch being built by start_disk_io_; kept for its capacity.
-  std::vector<disk::Request> batch_;
 };
 
 }  // namespace dpar::pfs

@@ -107,7 +107,6 @@ class RepairManager {
   DurabilityReport report() const;
   /// Chunks short of rf live copies right now, from the running count (O(1)).
   std::uint64_t under_replicated_now() const { return under_count_; }
-  std::uint64_t repairs_in_flight() const { return in_flight_; }
 
  private:
   struct FileState {

@@ -314,8 +314,7 @@ TEST(DiskDevice, DeepSortedBatchBeatsInterleavedArrivals) {
 
 TEST(Raid0Device, SplitsAndCompletesOnce) {
   Engine eng;
-  Raid0Device raid(eng, test_params(), make_noop_scheduler(), make_noop_scheduler(),
-                   /*chunk_sectors=*/128);
+  Raid0Device raid(eng, test_params(), make_noop_scheduler(), make_noop_scheduler());
   int completed = 0;
   Request r = make_req(1, 100, 300);  // spans chunks 0,1,2 -> both members
   r.done = [&completed](fault::Status) { ++completed; };
@@ -330,7 +329,7 @@ TEST(Raid0Device, SplitsAndCompletesOnce) {
 
 TEST(Raid0Device, SequentialStreamUsesBothMembers) {
   Engine eng;
-  Raid0Device raid(eng, test_params(), make_noop_scheduler(), make_noop_scheduler(), 128);
+  Raid0Device raid(eng, test_params(), make_noop_scheduler(), make_noop_scheduler());
   int completed = 0;
   for (std::uint64_t i = 0; i < 16; ++i) {
     Request r = make_req(i, i * 128, 128);

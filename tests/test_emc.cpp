@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "dualpar/emc.hpp"
 #include "harness/testbed.hpp"
@@ -95,6 +96,26 @@ TEST_F(EmcFixture, ObservationsForUnknownJobsIgnored) {
   tb->engine().run_until(sim::msec(600));
   tb->emc().tick();
   EXPECT_DOUBLE_EQ(tb->emc().last_req_dist_bytes(), 0.0);
+}
+
+TEST_F(EmcFixture, RegisterAcceptsOnlyTheNextJobId) {
+  // The fixture registered job 1. Re-registering it or skipping an id is
+  // rejected and leaves the table as it was, so the next job still gets 2.
+  auto& emc = tb->emc();
+  mpi::Job again(tb->engine(), 1, "again", tb->vanilla(), tb->network());
+  mpi::Job gap(tb->engine(), 3, "gap", tb->vanilla(), tb->network());
+  EXPECT_THROW(emc.register_job(again, Policy::kForcedDataDriven), std::invalid_argument);
+  EXPECT_THROW(emc.register_job(gap, Policy::kForcedDataDriven), std::invalid_argument);
+  EXPECT_EQ(emc.mode(job->id()), Mode::kNormal);
+  EXPECT_EQ(emc.mode(3), Mode::kNormal);
+  wl::DemoConfig dc;
+  dc.file = tb->create_file("g", 1 << 20);
+  dc.file_size = 0;
+  auto& next = tb->add_job("next", 1, tb->vanilla(),
+                           [dc](std::uint32_t) { return wl::make_demo(dc); },
+                           Policy::kForcedDataDriven);
+  EXPECT_EQ(next.id(), 2u);
+  EXPECT_EQ(emc.mode(2), Mode::kDataDriven);
 }
 
 TEST(EmcDamping, ConfirmSlotsPreventSingleSlotFlips) {

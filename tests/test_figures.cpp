@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <any>
+#include <vector>
 
 #include "figures.hpp"
 
@@ -83,6 +85,16 @@ TEST(Table2Shape, InterferenceGapAndSeekReduction) {
   const double vanilla2 = run_mpiiotest(Variant::kVanilla, fsize, 2);
   const double dualpar2 = run_mpiiotest(Variant::kDualPar, fsize, 2);
   EXPECT_GT(dualpar2, vanilla2 * 1.5);  // paper: ~2.7x
+}
+
+TEST(Fig6Shape, ServiceOrderSamplesAreNonEmpty) {
+  // Bench cells at DPAR_SCALE=64, where DualPar finishes its server-1 reads
+  // long before the jobs end: both Fig 6 windows must still show dispatches.
+  using Trace = std::vector<disk::TraceEvent>;
+  for (Variant v : {Variant::kVanilla, Variant::kDualPar}) {
+    const bench::ExperimentStats s = bench::table2_pair(/*is_write=*/false, v, 64);
+    EXPECT_FALSE(std::any_cast<const Trace&>(s.detail).empty()) << bench::variant_name(v);
+  }
 }
 
 TEST(Fig4Shape, DualParAboveCollectiveAboveVanilla) {

@@ -212,12 +212,18 @@ TEST(FuzzFaults, RandomTransientPlansNeverHangOrLeakRequests) {
     cfg.fault.server.stall_rate = 0.05 * rng.chance(0.5);
     // rf <= data_servers (at least 2) always holds.
     cfg.replica.replication_factor = 1 + static_cast<std::uint32_t>(rng.uniform(2));
+    const bool dualpar = rng.chance(0.5);
+    // A DualPar cycle prefetches at least one call per rank, so with the
+    // default 1 MB quota and 512 KB calls one batch reads the whole file and
+    // the round issues a single client op. 64 KB calls and a 64 KB quota
+    // take 16 cycles instead.
+    if (dualpar) cfg.dualpar.cache_quota = 64 * 1024;
     harness::Testbed tb(cfg);
     wl::DemoConfig dc;
     dc.file = tb.create_file("f", 2 << 20);
     dc.file_size = 2 << 20;
     dc.segment_size = 32 * 1024;
-    const bool dualpar = rng.chance(0.5);
+    if (dualpar) dc.segments_per_call = 2;
     auto& job = dualpar
                     ? tb.add_job("j", 2, tb.dualpar(),
                                  [dc](std::uint32_t) { return wl::make_demo(dc); },
@@ -233,6 +239,10 @@ TEST(FuzzFaults, RandomTransientPlansNeverHangOrLeakRequests) {
     const auto c = tb.fault_injector()->total();
     EXPECT_EQ(c.client_ops_started, c.client_ops_finished)
         << where << ": leaked in-flight requests";
+    // At least one op per 32 KB piece for vanilla (measured: 64 in each of
+    // the 3 vanilla rounds) and one per 128 KB cycle for DualPar (measured:
+    // 16, 16, 16, 20, 16 in the 5 DualPar rounds).
+    EXPECT_GE(c.client_ops_started, dualpar ? 16u : 64u) << where;
   }
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "cache/rangeset.hpp"
-#include "dualpar/emc.hpp"
 #include "harness/testbed.hpp"
 #include "pfs/layout.hpp"
 #include "sim/debug.hpp"
@@ -51,26 +50,6 @@ TEST(Invariants, RangeSetStaysValidUnderRandomOps) {
       rs.remove(a, b);
     }
     rs.check_invariants();
-  }
-}
-
-TEST(Invariants, EmcIndexAgreesAfterRegistrations) {
-  harness::TestbedConfig cfg;
-  cfg.data_servers = 2;
-  cfg.compute_nodes = 2;
-  harness::Testbed tb(cfg);
-  tb.emc().check_invariants();  // empty table
-  wl::DemoConfig dc;
-  dc.file = tb.create_file("f", 1 << 20);
-  dc.file_size = 0;
-  dc.segment_size = 4096;
-  const auto factory = [dc](std::uint32_t) { return wl::make_demo(dc); };
-  for (int i = 0; i < 5; ++i) {
-    auto& job = tb.add_job("j" + std::to_string(i), 1, tb.vanilla(), factory,
-                           i % 2 ? dualpar::Policy::kForcedNormal
-                                 : dualpar::Policy::kAdaptive);
-    tb.emc().check_invariants();
-    EXPECT_EQ(tb.emc().mode(job.id()), dualpar::Mode::kNormal);
   }
 }
 

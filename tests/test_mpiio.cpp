@@ -45,7 +45,6 @@ TEST(Vanilla, ObserverSeesEveryCall) {
 
 TEST(Vanilla, KeepTracesOffReachesEveryRaidMember) {
   harness::TestbedConfig cfg = small_config();
-  cfg.raid0 = true;
   cfg.keep_traces = false;
   harness::Testbed tb(cfg);
   wl::DemoConfig dc;

@@ -145,7 +145,7 @@ TEST(Raid0Device, SingleSectorRequests) {
   Engine eng;
   DiskParams p;
   p.plug_delay = 0;
-  Raid0Device raid(eng, p, make_noop_scheduler(), make_noop_scheduler(), 128);
+  Raid0Device raid(eng, p, make_noop_scheduler(), make_noop_scheduler());
   int done = 0;
   for (std::uint64_t i = 0; i < 4; ++i) {
     Request r = req(i, i * 128, 1);  // one sector in each chunk
