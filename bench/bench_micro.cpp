@@ -43,7 +43,7 @@ BENCHMARK(BM_EngineScheduleFire);
 
 // The engine's real-world duty cycle: schedule with realistic captures (three
 // pointer-sized values — beyond std::function's inline buffer), cancel half
-// (the disk layer cancels plug/anticipation timers constantly), fire the rest.
+// (the disk layer cancels anticipation timers constantly), fire the rest.
 void schedule_cancel_fire(sim::Engine& eng, std::uint64_t& sink) {
   std::vector<sim::EventId> ids;
   ids.reserve(1024);
@@ -68,7 +68,7 @@ BENCHMARK(BM_EngineScheduleCancelFire);
 
 // ---- Event-queue timer patterns -------------------------------------------
 // The cancel-heavy timeout pattern: a standing population of far-future
-// guard timers (I/O timeouts, plug and anticipation timers) that is
+// guard timers (I/O timeouts, anticipation timers) that is
 // continuously re-armed, with only a trickle ever firing. Each push sifts
 // into a big heap and each cancel leaves a stale key for the amortized
 // compaction. One item = one schedule or cancel.

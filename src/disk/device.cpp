@@ -15,7 +15,6 @@ DiskDevice::DiskDevice(sim::Engine& eng, DiskParams params,
 
 void DiskDevice::submit(Request r) {
   r.arrival = eng_.now();
-  const bool was_empty = sched_->pending() == 0;
   sched_->enqueue(std::move(r), eng_.now());
   if (busy_) return;
   // A new arrival interrupts any anticipation wait so the scheduler can
@@ -23,28 +22,6 @@ void DiskDevice::submit(Request r) {
   if (wait_event_) {
     eng_.cancel(wait_event_);
     wait_event_ = {};
-  }
-  const auto& p = model_.params();
-  if (plugged_) {
-    // Unplug early when a burst has accumulated.
-    if (sched_->pending() >= p.plug_threshold) {
-      eng_.cancel(plug_event_);
-      plug_event_ = {};
-      plugged_ = false;
-      poll();
-    }
-    return;
-  }
-  if (p.plug_delay > 0 && was_empty) {
-    // Idle-to-busy edge: plug briefly so the rest of the burst can queue and
-    // be sorted together.
-    plugged_ = true;
-    plug_event_ = eng_.after(p.plug_delay, [this] {
-      plugged_ = false;
-      plug_event_ = {};
-      poll();
-    });
-    return;
   }
   poll();
 }

@@ -68,8 +68,6 @@ class DiskDevice final : public BlockDevice {
   fault::FaultInjector* injector_ = nullptr;
   std::uint32_t owner_ = 0;
   bool busy_ = false;
-  bool plugged_ = false;
-  sim::EventId plug_event_{};
   sim::EventId wait_event_{};
   sim::Time busy_time_ = 0;
   std::uint64_t served_ = 0;

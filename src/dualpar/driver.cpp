@@ -9,6 +9,14 @@
 
 namespace dpar::dualpar {
 
+namespace {
+/// Pre-execution deadline: expected cache-fill time is scaled by this slack
+/// factor and clamped to [kPreexecDeadlineMin, Params::preexec_deadline_max]
+/// (§IV-C).
+constexpr double kPreexecDeadlineSlack = 2.0;
+constexpr sim::Time kPreexecDeadlineMin = sim::msec(50);
+}  // namespace
+
 DualParDriver::DualParDriver(mpiio::IoEnv env, cache::GlobalCache& cache, Emc& emc,
                              Params params)
     : VanillaDriver(env), cache_(cache), emc_(emc), params_(params) {}
@@ -179,8 +187,8 @@ void DualParDriver::arm_deadline(mpi::Job& job, mpi::Process& proc) {
   double bw = proc.recent_io_bandwidth();
   if (bw < 1e6) bw = 1e6;  // cold start: assume 1 MB/s
   sim::Time t = sim::from_seconds(static_cast<double>(params_.cache_quota) / bw *
-                                  params_.preexec_deadline_slack);
-  t = std::clamp(t, params_.preexec_deadline_min, params_.preexec_deadline_max);
+                                  kPreexecDeadlineSlack);
+  t = std::clamp(t, kPreexecDeadlineMin, params_.preexec_deadline_max);
   st.deadline = env_.fs.engine().after(t, [this, &job] {
     JobState& jst = state_for(job);
     jst.deadline = {};

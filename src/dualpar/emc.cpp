@@ -7,6 +7,27 @@
 
 namespace dpar::dualpar {
 
+namespace {
+/// EMC evaluation slot.
+constexpr sim::Time kEmcSlot = sim::msec(500);
+/// Data-driven mode also needs the program's I/O ratio above this (80%).
+constexpr double kIoRatioThreshold = 0.8;
+/// Data-driven mode is disabled when the average mis-prefetch ratio exceeds
+/// this (20%).
+constexpr double kMisprefetchThreshold = 0.2;
+
+// ---- Degraded mode under faults ----
+/// EMC falls back to vanilla independent execution (normal mode for every
+/// job, overriding forced policies) when the EWMA of transfer outcomes
+/// (1 = error, 0 = ok) exceeds this, or when any data server is down.
+constexpr double kFaultDegradeThreshold = 0.25;
+/// ... and re-engages data-driven scheduling once every server is back up
+/// and the EWMA has decayed below this (hysteresis band).
+constexpr double kFaultResumeThreshold = 0.05;
+/// Smoothing factor of the transfer-outcome EWMA.
+constexpr double kFaultErrorAlpha = 0.2;
+}  // namespace
+
 Emc::Emc(sim::Engine& eng, Params params, std::vector<pfs::DataServer*> servers)
     : eng_(eng), params_(params), servers_(std::move(servers)) {}
 
@@ -52,15 +73,14 @@ const sim::TimeSeries& Emc::mode_series(std::uint32_t job_id) const {
 }
 
 void Emc::report_io_error() {
-  error_ewma_ = params_.fault_error_alpha +
-                (1.0 - params_.fault_error_alpha) * error_ewma_;
+  error_ewma_ = kFaultErrorAlpha + (1.0 - kFaultErrorAlpha) * error_ewma_;
   update_degraded();
 }
 
 void Emc::report_io_ok() {
   // Only meaningful while the fault machinery is live; fault-free runs never
   // call in here, so the fast path stays untouched.
-  error_ewma_ = (1.0 - params_.fault_error_alpha) * error_ewma_;
+  error_ewma_ = (1.0 - kFaultErrorAlpha) * error_ewma_;
   update_degraded();
 }
 
@@ -75,7 +95,7 @@ void Emc::note_server_state(std::uint32_t, bool down) {
 
 void Emc::update_degraded() {
   if (!degraded_) {
-    if (servers_down_ > 0 || error_ewma_ > params_.fault_degrade_threshold) {
+    if (servers_down_ > 0 || error_ewma_ > kFaultDegradeThreshold) {
       degraded_ = true;
       if (injector_) ++injector_->counters().emc_degraded_entries;
     }
@@ -83,7 +103,7 @@ void Emc::update_degraded() {
   }
   // Hysteresis: re-engage only once every server is back and the error EWMA
   // has decayed well below the entry threshold.
-  if (servers_down_ == 0 && error_ewma_ < params_.fault_resume_threshold) {
+  if (servers_down_ == 0 && error_ewma_ < kFaultResumeThreshold) {
     degraded_ = false;
     if (injector_) ++injector_->counters().emc_degraded_exits;
   }
@@ -93,7 +113,7 @@ void Emc::report_misprefetch(std::uint32_t job_id, double ratio) {
   JobEntry* e = find_job(job_id);
   if (e == nullptr) return;
   e->misprefetch.add(ratio);
-  if (e->misprefetch.value() > params_.misprefetch_threshold &&
+  if (e->misprefetch.value() > kMisprefetchThreshold &&
       e->policy != Policy::kForcedNormal) {
     // "A large mis-prefetching miss ratio will turn off the data-driven mode
     // ... this is a one-time overhead" — latch the job to normal.
@@ -121,7 +141,7 @@ void Emc::observe(std::uint32_t job_id, pfs::FileId file,
 void Emc::start() {
   if (ticking_) return;
   ticking_ = true;
-  eng_.after(params_.emc_slot, [this] {
+  eng_.after(kEmcSlot, [this] {
     ticking_ = false;
     tick();
     // Keep evaluating while any registered job is live.
@@ -184,7 +204,7 @@ void Emc::tick() {
   for (JobEntry& e : entries_) {
     if (e.policy != Policy::kAdaptive || e.latched || e.job->finished()) continue;
     const Mode want = (ratio > params_.t_improvement &&
-                       e.io_ratio > params_.io_ratio_threshold)
+                       e.io_ratio > kIoRatioThreshold)
                           ? Mode::kDataDriven
                           : Mode::kNormal;
     if (want == e.mode) {

@@ -13,18 +13,9 @@ struct Params {
   std::uint64_t cache_quota = 1ull << 20;
 
   /// EMC enables data-driven mode when aveSeekDist/aveReqDist exceeds this
-  /// (T_improvement, default 3).
+  /// (T_improvement, default 3) and the program's I/O ratio exceeds
+  /// kIoRatioThreshold (emc.cpp).
   double t_improvement = 3.0;
-
-  /// ... and the program's I/O ratio exceeds this (80%).
-  double io_ratio_threshold = 0.8;
-
-  /// Data-driven mode is disabled when the average mis-prefetch ratio
-  /// exceeds this (20%).
-  double misprefetch_threshold = 0.2;
-
-  /// EMC evaluation slot.
-  sim::Time emc_slot = sim::msec(500);
 
   /// Mode-switch damping: a switch needs this many consecutive agreeing
   /// slots, and a job stays in its mode at least this long. (Without
@@ -37,27 +28,14 @@ struct Params {
   /// (reads: fetched along; writes: filled by additional reads, §IV-D).
   std::uint64_t hole_fill_max = 64 * 1024;
 
-  /// Pre-execution deadline: expected cache-fill time is scaled by this
-  /// slack factor and clamped to [min, max] (§IV-C).
-  double preexec_deadline_slack = 2.0;
-  sim::Time preexec_deadline_min = sim::msec(50);
+  /// Upper clamp of the pre-execution deadline (§IV-C); the rest of the
+  /// deadline rule is fixed (kPreexecDeadlineSlack/Min, driver.cpp).
   sim::Time preexec_deadline_max = sim::secs(5);
 
   // ---- Ablation switches (DESIGN.md §4) ----
   bool sort_batch = true;
   bool merge_batch = true;
   bool fill_holes = true;
-
-  // ---- Degraded mode under faults ----
-  /// EMC falls back to vanilla independent execution (normal mode for every
-  /// job, overriding forced policies) when the EWMA of transfer outcomes
-  /// (1 = error, 0 = ok) exceeds this, or when any data server is down.
-  double fault_degrade_threshold = 0.25;
-  /// ... and re-engages data-driven scheduling once every server is back up
-  /// and the EWMA has decayed below this (hysteresis band).
-  double fault_resume_threshold = 0.05;
-  /// Smoothing factor of the transfer-outcome EWMA.
-  double fault_error_alpha = 0.2;
 };
 
 }  // namespace dpar::dualpar

@@ -125,15 +125,14 @@ void FaultInjector::note_server_state(std::uint32_t server, bool down) {
   for (const auto& l : listeners_) l(server, down);
 }
 
-sim::Time FaultInjector::request_timeout(std::uint64_t bytes) const {
-  return plan_.retry.timeout_base +
-         sim::transfer_time(bytes, plan_.retry.timeout_min_bandwidth);
+sim::Time FaultInjector::request_timeout(std::uint64_t bytes) {
+  return kTimeoutBase + sim::transfer_time(bytes, kTimeoutMinBandwidth);
 }
 
-sim::Time FaultInjector::backoff(std::uint32_t attempt) const {
-  double b = static_cast<double>(plan_.retry.backoff_base);
-  for (std::uint32_t i = 1; i < attempt; ++i) b *= plan_.retry.backoff_factor;
-  b = std::min(b, static_cast<double>(plan_.retry.backoff_max));
+sim::Time FaultInjector::backoff(std::uint32_t attempt) {
+  double b = static_cast<double>(kBackoffBase);
+  for (std::uint32_t i = 1; i < attempt; ++i) b *= kBackoffFactor;
+  b = std::min(b, static_cast<double>(kBackoffMax));
   return static_cast<sim::Time>(b);
 }
 

@@ -25,6 +25,21 @@
 
 namespace dpar::fault {
 
+// Client-side per-request timeout + capped exponential backoff. Only armed
+// when fault injection is enabled; the fault-free fast path never schedules
+// timeout events.
+/// Base patience for a request, before the size-dependent term.
+inline constexpr sim::Time kTimeoutBase = sim::msec(100);
+/// The timeout grows with the request's payload: bytes / this bandwidth
+/// floor is added to kTimeoutBase, so multi-megabyte CRM batches are not
+/// declared dead while legitimately streaming.
+inline constexpr double kTimeoutMinBandwidth = 20e6;  ///< bytes/s
+/// Retries per server request before the client gives up on it.
+inline constexpr std::uint32_t kMaxRetries = 6;
+inline constexpr sim::Time kBackoffBase = sim::msec(50);
+inline constexpr double kBackoffFactor = 2.0;
+inline constexpr sim::Time kBackoffMax = sim::secs(2);
+
 /// Fault/retry/recovery counters, one block per run, grouped by layer.
 struct Counters {
   // disk
@@ -111,11 +126,12 @@ class FaultInjector {
   }
 
   // ---- Client retry policy ----
-  /// Patience for one server request carrying `bytes` of payload.
-  sim::Time request_timeout(std::uint64_t bytes) const;
-  /// Backoff before retry `attempt` (1-based), capped.
-  sim::Time backoff(std::uint32_t attempt) const;
-  std::uint32_t max_retries() const { return plan_.retry.max_retries; }
+  /// Patience for one server request carrying `bytes` of payload:
+  /// kTimeoutBase + bytes / kTimeoutMinBandwidth.
+  static sim::Time request_timeout(std::uint64_t bytes);
+  /// Backoff before retry `attempt` (1-based):
+  /// kBackoffBase * kBackoffFactor^(attempt-1), capped at kBackoffMax.
+  static sim::Time backoff(std::uint32_t attempt);
 
  private:
   FaultPlan plan_;

@@ -59,20 +59,6 @@ void FaultPlan::validate() const {
     if (c.server == kAllServers)
       throw std::invalid_argument("FaultPlan: crash needs a concrete server index");
   }
-
-  if (!enabled()) return;
-  // The retry policy only matters when faults can happen, but when they can
-  // it must be able to make progress.
-  if (retry.timeout_base <= 0)
-    throw std::invalid_argument("FaultPlan: retry.timeout_base must be > 0");
-  if (retry.timeout_min_bandwidth <= 0.0)
-    throw std::invalid_argument("FaultPlan: retry.timeout_min_bandwidth must be > 0");
-  if (retry.backoff_base < 0)
-    throw std::invalid_argument("FaultPlan: retry.backoff_base must be >= 0");
-  if (retry.backoff_factor < 1.0)
-    throw std::invalid_argument("FaultPlan: retry.backoff_factor must be >= 1");
-  if (retry.backoff_max <= 0)
-    throw std::invalid_argument("FaultPlan: retry.backoff_max must be > 0");
 }
 
 }  // namespace dpar::fault

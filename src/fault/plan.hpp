@@ -2,13 +2,14 @@
 //
 // A FaultPlan describes everything that can go wrong in one simulated run:
 // disk media errors and latent bad sectors, data-server crash/restart
-// schedules, network message loss/delay and transient partitions, and the
+// schedules, and network message loss/delay and transient partitions. The
 // client-side retry policy that turns those raw faults into end-to-end
-// Status values. Probabilistic faults draw from per-layer RNG streams seeded
-// from `seed`, so a given (seed, plan) reproduces the same fault sequence
-// byte-for-byte on every run and at any DPAR_JOBS. A default-constructed plan
-// is inert (enabled() == false) and the whole stack takes the exact same code
-// path as before the fault subsystem existed.
+// Status values is fixed (fault/injector.hpp). Probabilistic faults draw
+// from per-layer RNG streams seeded from `seed`, so a given (seed, plan)
+// reproduces the same fault sequence byte-for-byte on every run and at any
+// DPAR_JOBS. A default-constructed plan is inert (enabled() == false) and
+// the whole stack takes the exact same code path as before the fault
+// subsystem existed.
 #pragma once
 
 #include <cstdint>
@@ -81,40 +82,21 @@ struct ServerFaults {
   sim::Time stall_time = sim::msec(20);
 };
 
-/// Client-side per-request timeout + capped exponential backoff. Only armed
-/// when fault injection is enabled; the fault-free fast path never schedules
-/// timeout events.
-struct RetryPolicy {
-  /// Base patience for a request, before the size-dependent term.
-  sim::Time timeout_base = sim::msec(100);
-  /// The timeout grows with the request's payload: bytes / this bandwidth
-  /// floor is added to timeout_base, so multi-megabyte CRM batches are not
-  /// declared dead while legitimately streaming.
-  double timeout_min_bandwidth = 20e6;  ///< bytes/s
-  std::uint32_t max_retries = 6;
-  /// Backoff before retry k (1-based): backoff_base * backoff_factor^(k-1),
-  /// capped at backoff_max.
-  sim::Time backoff_base = sim::msec(50);
-  double backoff_factor = 2.0;
-  sim::Time backoff_max = sim::secs(2);
-};
-
 struct FaultPlan {
   std::uint64_t seed = 0xfa017;
   DiskFaults disk;
   NetFaults net;
   ServerFaults server;
-  RetryPolicy retry;
 
   /// True when the plan can produce any fault at all. A disabled plan keeps
   /// the whole stack on the pre-fault fast path (no hooks, no timeout
   /// events, byte-identical simulation output).
   bool enabled() const;
 
-  /// Reject malformed plans loudly (negative rates, probabilities > 1, zero
-  /// timeouts, crash windows ending before they start, ...). Permanent
-  /// crashes are expressed with restart_at == kNeverRestarts, not with an
-  /// inverted window. Throws std::invalid_argument.
+  /// Reject malformed plans loudly (negative rates, probabilities > 1, crash
+  /// windows ending before they start, ...). Permanent crashes are expressed
+  /// with restart_at == kNeverRestarts, not with an inverted window. Throws
+  /// std::invalid_argument.
   void validate() const;
 };
 

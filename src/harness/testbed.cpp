@@ -61,7 +61,7 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
 
   const mpiio::IoEnv env{*fs_, *clients_, *net_, emc_.get()};
   vanilla_ = std::make_unique<mpiio::VanillaDriver>(env);
-  collective_ = std::make_unique<mpiio::CollectiveDriver>(env, cfg_.collective);
+  collective_ = std::make_unique<mpiio::CollectiveDriver>(env);
   dualpar_ = std::make_unique<dualpar::DualParDriver>(env, *cache_, *emc_, cfg_.dualpar);
   preexec_ = std::make_unique<dualpar::PreexecDriver>(env, *cache_, cfg_.dualpar);
 

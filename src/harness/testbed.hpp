@@ -47,7 +47,6 @@ struct TestbedConfig {
   net::NetParams net;
   cache::CacheParams cache;
   dualpar::Params dualpar;
-  mpiio::CollectiveParams collective;
   /// Retain full blktrace event lists (disable for long sweeps).
   bool keep_traces = true;
   /// Fault plan for the run. Default-constructed = disabled: no injector is

@@ -42,16 +42,4 @@ std::string format_replica_report(const replica::DurabilityReport& r) {
   return os.str();
 }
 
-std::string replica_summary_line(const replica::DurabilityReport& r) {
-  std::ostringstream os;
-  os << "replicas: degraded_reads=" << r.counters.degraded_reads
-     << " failover=" << r.counters.failover_shards
-     << " repaired=" << r.counters.repair_ops_completed << "/"
-     << r.counters.repair_ops_issued
-     << " repair_mb=" << r.counters.repair_bytes_copied / 1000000
-     << " under_now=" << r.under_replicated_now
-     << " lost=" << r.lost_chunks;
-  return os.str();
-}
-
 }  // namespace dpar::metrics

@@ -21,7 +21,4 @@ std::vector<std::pair<std::string, std::uint64_t>> replica_counter_rows(
 /// the whole point).
 std::string format_replica_report(const replica::DurabilityReport& r);
 
-/// One-line summary of the durability numbers that matter at a glance.
-std::string replica_summary_line(const replica::DurabilityReport& r);
-
 }  // namespace dpar::metrics

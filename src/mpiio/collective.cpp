@@ -27,8 +27,7 @@ void sort_and_merge(std::vector<pfs::Segment>& segs) {
 
 }  // namespace
 
-bool plan_round(std::span<const RoundInput> inputs, bool is_write,
-                const CollectiveParams& params, RoundPlan& plan) {
+bool plan_round(std::span<const RoundInput> inputs, bool is_write, RoundPlan& plan) {
   plan.flows.clear();
   std::uint64_t lo = UINT64_MAX, hi = 0, useful = 0;
   for (const RoundInput& in : inputs) {
@@ -44,42 +43,39 @@ bool plan_round(std::span<const RoundInput> inputs, bool is_write,
     return false;
   }
 
-  // Participant nodes by id; every one hosts an aggregator up to the cap.
+  // Participant nodes by id; every one hosts an aggregator.
   plan.nodes.clear();
   for (const RoundInput& in : inputs) plan.nodes.push_back(in.node);
   std::sort(plan.nodes.begin(), plan.nodes.end());
   plan.nodes.erase(std::unique(plan.nodes.begin(), plan.nodes.end()), plan.nodes.end());
   const std::size_t nnodes = plan.nodes.size();
-  std::size_t nagg = nnodes;
-  if (params.max_aggregators > 0) nagg = std::min<std::size_t>(nagg, params.max_aggregators);
 
   plan.cols.resize(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i)
     plan.cols[i] = static_cast<std::uint32_t>(
         std::lower_bound(plan.nodes.begin(), plan.nodes.end(), inputs[i].node) -
         plan.nodes.begin());
-  plan.aggs.resize(nagg);
-  for (std::size_t a = 0; a < nagg; ++a) {
+  plan.aggs.resize(nnodes);
+  for (std::size_t a = 0; a < nnodes; ++a) {
     plan.aggs[a].node = plan.nodes[a];
     plan.aggs[a].segs.clear();
-    plan.aggs[a].rmw = false;
   }
   // Walking backwards leaves each aggregator the context of the first
   // participant on its node.
   for (std::size_t i = inputs.size(); i-- > 0;)
-    if (plan.cols[i] < nagg) plan.aggs[plan.cols[i]].context = inputs[i].context;
+    plan.aggs[plan.cols[i]].context = inputs[i].context;
 
   // Split each rank's segments over the aggregators' file domains and add
   // up the exchange per (aggregator, participant node).
   const std::uint64_t extent = hi - lo;
-  const std::uint64_t domain = (extent + nagg - 1) / nagg;
-  plan.table.assign(nagg * nnodes, RoundFlow{});
+  const std::uint64_t domain = (extent + nnodes - 1) / nnodes;
+  plan.table.assign(nnodes * nnodes, RoundFlow{});
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     RoundFlow* column = plan.table.data() + plan.cols[i];
     for (const pfs::Segment& s : inputs[i].segments) {
       std::uint64_t off = s.offset, rem = s.length;
       while (rem > 0) {
-        const std::uint64_t a = std::min<std::uint64_t>((off - lo) / domain, nagg - 1);
+        const std::uint64_t a = std::min<std::uint64_t>((off - lo) / domain, nnodes - 1);
         const std::uint64_t dom_end = lo + (a + 1) * domain;
         const std::uint64_t take = std::min(rem, dom_end - off);
         plan.aggs[a].segs.push_back(pfs::Segment{off, take});
@@ -94,7 +90,7 @@ bool plan_round(std::span<const RoundInput> inputs, bool is_write,
   // Every piece has take > 0, so a cell moves data exactly when it was
   // touched, and so does the aggregator of every flow. Row-major order over
   // id-sorted nodes is (aggregator, node id).
-  for (std::size_t a = 0; a < nagg; ++a)
+  for (std::size_t a = 0; a < nnodes; ++a)
     for (std::size_t c = 0; c < nnodes; ++c) {
       const RoundFlow& cell = plan.table[a * nnodes + c];
       if (cell.meta > 0)
@@ -103,24 +99,20 @@ bool plan_round(std::span<const RoundInput> inputs, bool is_write,
     }
   DPAR_ASSERT(!plan.flows.empty(), "a round with useful bytes has no flow");
 
-  // Data sieving decision per aggregator.
+  // Data sieving decision per aggregator: a dense read fetches its whole
+  // span in one request; writes keep exact list I/O.
   for (RoundAgg& a : plan.aggs) {
     sort_and_merge(a.segs);
-    if (a.segs.size() <= 1) continue;
+    if (is_write || a.segs.size() <= 1) continue;
     const std::uint64_t span = a.segs.back().end() - a.segs.front().offset;
     std::uint64_t use = 0;
     for (const pfs::Segment& s : a.segs) use += s.length;
-    const bool dense = span <= params.sieve_buffer &&
-                       static_cast<double>(use) / static_cast<double>(span) >=
-                           params.sieve_min_density;
+    const bool dense =
+        span <= kSieveBuffer &&
+        static_cast<double>(use) / static_cast<double>(span) >= kSieveMinDensity;
     if (!dense) continue;
-    if (!is_write || params.write_sieving) {
-      // Reads fetch the whole span; RMW writes read it first, then write it
-      // back patched.
-      a.segs.front().length = span;
-      a.segs.resize(1);
-      a.rmw = is_write;
-    }
+    a.segs.front().length = span;
+    a.segs.resize(1);
   }
   return true;
 }
@@ -163,13 +155,13 @@ void CollectiveDriver::run_round(std::vector<Entry>& epoch) {
     r->inputs.push_back(
         RoundInput{e.proc->node().id(), e.proc->global_id(), e.call->segments});
   }
-  if (!plan_round(r->inputs, r->is_write, params_, r->plan)) {
+  if (!plan_round(r->inputs, r->is_write, r->plan)) {
     finish(r, sim::usec(100));  // nothing to move: a barrier hop
     return;
   }
   // Exchange bookkeeping CPU: every rank packs/unpacks state that grows with
   // the participant count.
-  r->cpu = params_.exchange_cpu_per_rank * static_cast<sim::Time>(r->entries.size());
+  r->cpu = kExchangeCpuPerRank * static_cast<sim::Time>(r->entries.size());
 
   // Phase 1: metadata exchange (everyone ships request lists to aggregators),
   // plus, for writes, the data shuffle owner -> aggregator.
@@ -197,26 +189,11 @@ void CollectiveDriver::issue_agg_io(Round* r) {
   for (std::size_t i = 0; i < plan.aggs.size(); ++i) {
     const RoundAgg& a = plan.aggs[i];
     if (a.segs.empty()) continue;
-    pfs::Client& client = env_.clients.for_node(a.node);
-    if (a.rmw) {
-      // Write sieving: fetch the span, patch in memory, write it back.
-      client.io(r->file, a.segs, /*is_write=*/false, a.context,
-                [this, r, i, &client](std::uint64_t, fault::Status st) {
-                  note_io_status(env_, st);
-                  const RoundAgg& agg = r->plan.aggs[i];
-                  client.io(r->file, agg.segs, /*is_write=*/true, agg.context,
-                            [this, r](std::uint64_t, fault::Status wst) {
-                              note_io_status(env_, wst);
-                              agg_io_done(r);
-                            });
-                });
-    } else {
-      client.io(r->file, a.segs, r->is_write, a.context,
-                [this, r](std::uint64_t, fault::Status st) {
-                  note_io_status(env_, st);
-                  agg_io_done(r);
-                });
-    }
+    env_.clients.for_node(a.node).io(r->file, a.segs, r->is_write, a.context,
+                                     [this, r](std::uint64_t, fault::Status st) {
+                                       note_io_status(env_, st);
+                                       agg_io_done(r);
+                                     });
   }
 }
 

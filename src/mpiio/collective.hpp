@@ -4,8 +4,9 @@
 // accessed extent is partitioned into contiguous *file domains*, one per
 // aggregator (one aggregator per compute node, ROMIO's default). Each rank
 // ships its request metadata to the aggregators owning parts of its data;
-// aggregators perform data sieving within their domain (one contiguous
-// request when hole waste is acceptable, exact list I/O otherwise); finally
+// aggregators perform data sieving within their domain for reads (one
+// contiguous request when hole waste is acceptable, exact list I/O
+// otherwise) and native list I/O for writes, as ROMIO does on PVFS2; finally
 // data is shuffled between aggregators and owner ranks over the network.
 // The metadata and shuffle traffic grows with the process count, which is
 // why collective I/O loses ground at 256 processes in Fig 4.
@@ -24,21 +25,13 @@
 
 namespace dpar::mpiio {
 
-struct CollectiveParams {
-  std::uint64_t sieve_buffer = 4ull << 20;  ///< max sieved contiguous read
-  /// Sieve only when useful bytes / span >= this fraction.
-  double sieve_min_density = 0.4;
-  /// Per-rank CPU cost of the exchange bookkeeping, per participating rank
-  /// (memcpy/pack/unpack of flattened datatypes).
-  sim::Time exchange_cpu_per_rank = sim::usec(12);
-  /// ROMIO's cb_nodes hint: cap on the number of aggregators (0 = one per
-  /// participating compute node, the default).
-  std::uint32_t max_aggregators = 0;
-  /// Read-modify-write sieving for noncontiguous collective writes (ROMIO's
-  /// generic path with file locking). Off by default: on PVFS2 ROMIO uses
-  /// native list I/O for writes instead.
-  bool write_sieving = false;
-};
+/// Max sieved contiguous read.
+inline constexpr std::uint64_t kSieveBuffer = 4ull << 20;
+/// Sieve only when useful bytes / span >= this fraction.
+inline constexpr double kSieveMinDensity = 0.4;
+/// Per-rank CPU cost of the exchange bookkeeping, per participating rank
+/// (memcpy/pack/unpack of flattened datatypes).
+inline constexpr sim::Time kExchangeCpuPerRank = sim::usec(12);
 
 /// One rank's part of a collective round, as the planner sees it.
 struct RoundInput {
@@ -52,7 +45,6 @@ struct RoundAgg {
   net::NodeId node = 0;
   std::uint64_t context = 0;  ///< first participant on the node, as I/O context
   std::vector<pfs::Segment> segs;
-  bool rmw = false;  ///< write sieving: read the span before writing it
 };
 
 /// Exchange between aggregator `agg` (an index into RoundPlan::aggs) and the
@@ -79,18 +71,16 @@ struct RoundPlan {
 };
 
 /// Plan a two-phase round over `inputs` (one per participating rank, in
-/// arrival order): one aggregator per participant node (the lowest node ids
-/// first, capped at max_aggregators), the accessed extent split into equal
-/// contiguous file domains, each aggregator's pieces sorted, merged and
-/// sieved, and the per-(aggregator, node) exchange volumes. Returns false,
-/// with no aggregators and no flows, when the round moves no bytes.
-bool plan_round(std::span<const RoundInput> inputs, bool is_write,
-                const CollectiveParams& params, RoundPlan& plan);
+/// arrival order): one aggregator per participant node, the accessed extent
+/// split into equal contiguous file domains in node-id order, each
+/// aggregator's pieces sorted, merged and (for reads) sieved, and the
+/// per-(aggregator, node) exchange volumes. Returns false, with no
+/// aggregators and no flows, when the round moves no bytes.
+bool plan_round(std::span<const RoundInput> inputs, bool is_write, RoundPlan& plan);
 
 class CollectiveDriver : public VanillaDriver {
  public:
-  CollectiveDriver(IoEnv env, CollectiveParams params = {})
-      : VanillaDriver(env), params_(params) {}
+  explicit CollectiveDriver(IoEnv env) : VanillaDriver(env) {}
 
   void io(mpi::Process& proc, const mpi::IoCall& call,
           sim::UniqueFunction done) override;
@@ -126,7 +116,6 @@ class CollectiveDriver : public VanillaDriver {
   /// Release every rank `delay` from now and recycle the record.
   void finish(Round* r, sim::Time delay);
 
-  CollectiveParams params_;
   std::map<std::uint32_t, std::vector<Entry>> epochs_;  ///< by job id
   sim::Pool<Round> rounds_pool_;
   std::uint64_t rounds_ = 0;

@@ -46,7 +46,7 @@ void Network::send(NodeId from, NodeId to, std::uint64_t bytes,
     return;
   }
   const sim::Time now = eng_.now();
-  const std::uint64_t wire_bytes = bytes + params_.per_message_header;
+  const std::uint64_t wire_bytes = bytes + kMessageHeaderBytes;
   const sim::Time tx_time = sim::transfer_time(wire_bytes, params_.bandwidth_bytes_per_s);
   // Closed-form TX FIFO: messages leave in submission order, so the finish
   // time needs no completion event — just the running free-at register.
@@ -55,7 +55,7 @@ void Network::send(NodeId from, NodeId to, std::uint64_t bytes,
   src.tx_free_at = tx_finish;
   src.tx_busy += tx_time;
   sim::Time hop =
-      params_.switch_latency +
+      kSwitchLatency +
       (params_.latency_jitter > 0
            ? static_cast<sim::Time>(src.jitter.uniform(
                  static_cast<std::uint64_t>(params_.latency_jitter)))

@@ -32,15 +32,18 @@ namespace dpar::net {
 
 using NodeId = std::uint32_t;
 
+/// Fixed latency of one hop across the switch.
+inline constexpr sim::Time kSwitchLatency = sim::usec(50);
+/// Framing overhead bytes added to every remote message on the wire.
+inline constexpr std::uint64_t kMessageHeaderBytes = 64;
+
 struct NetParams {
   double bandwidth_bytes_per_s = 125e6;  ///< 1 Gb/s
-  sim::Time switch_latency = sim::usec(50);
   /// Uniform extra delay in [0, jitter): TCP stack + server thread wakeup
   /// variance. This scrambles the arrival order of a synchronized round of
   /// requests from many processes — the reason the disk scheduler cannot
   /// reconstruct a sequential order from vanilla MPI-IO traffic (§II).
   sim::Time latency_jitter = sim::usec(400);
-  std::uint64_t per_message_header = 64;  ///< framing overhead bytes
   std::uint64_t seed = 0x5eed;
 };
 

@@ -297,6 +297,11 @@ void on_shard_reply(RetryOp* op, std::size_t idx, std::uint32_t attempt,
   retire_shard(op, idx, st);
 }
 
+/// Read retry budget per shard before failing over to the next replica
+/// (smaller than the full retry cap: surviving copies make patience cheap).
+/// Writes always use the full fault::kMaxRetries budget.
+constexpr std::uint32_t kReadFailoverAfterRetries = 1;
+
 void on_shard_timeout(RetryOp* op, std::size_t idx) {
   RetryOp::Shard& sh = op->shards[idx];
   sh.timeout = {};
@@ -304,13 +309,13 @@ void on_shard_timeout(RetryOp* op, std::size_t idx) {
   fault::FaultInjector& inj = *op->fs->fault_injector();
   ++inj.counters().client_timeouts;
   const bool can_failover = !op->is_write && sh.role + 1 < op->rf;
-  if (can_failover && sh.attempt > op->mgr->config().read_failover_after_retries) {
+  if (can_failover && sh.attempt > kReadFailoverAfterRetries) {
     // Reads give up on a silent copy quickly: surviving replicas make long
     // patience pointless.
     failover_shard(op, idx);
     return;
   }
-  if (sh.attempt > inj.max_retries()) {
+  if (sh.attempt > fault::kMaxRetries) {
     ++inj.counters().client_failures;
     fault::Status st = fault::Status::kTimeout;
     if (inj.server_down(sh.server)) {

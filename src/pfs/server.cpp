@@ -8,6 +8,11 @@
 
 namespace dpar::pfs {
 
+namespace {
+constexpr sim::Time kRequestBaseCost = sim::usec(30);  ///< per-message handling CPU
+constexpr sim::Time kPerRunCost = sim::usec(3);        ///< per list-I/O run CPU
+}  // namespace
+
 DataServer::DataServer(sim::Engine& eng, net::NodeId node,
                        std::unique_ptr<disk::BlockDevice> dev, ServerParams params)
     : eng_(eng),
@@ -86,8 +91,8 @@ void DataServer::handle(ServerOp* op) {
     return;
   }
   ++requests_;
-  sim::Time cpu = params_.request_base_cost +
-                  params_.per_run_cost * static_cast<sim::Time>(op->req.runs.size());
+  sim::Time cpu =
+      kRequestBaseCost + kPerRunCost * static_cast<sim::Time>(op->req.runs.size());
   op->outstanding = 0;
   op->status = fault::Status::kOk;
   op->check_epoch = injector_ != nullptr;

@@ -60,8 +60,6 @@ struct ServerOp {
 };
 
 struct ServerParams {
-  sim::Time request_base_cost = sim::usec(30);   ///< per-message handling CPU
-  sim::Time per_run_cost = sim::usec(3);         ///< per list-I/O run CPU
   /// PVFS2 data servers issue all disk I/O from one user-space server
   /// process, so the kernel disk scheduler sees a single I/O context and can
   /// only reorder what is simultaneously queued (§II: "the disk scheduler

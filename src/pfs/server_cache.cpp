@@ -4,6 +4,12 @@
 
 namespace dpar::pfs {
 
+namespace {
+/// A read continuing within this distance of the previous end of stream
+/// counts as sequential.
+constexpr std::uint64_t kSequentialSlack = 64 * 1024;
+}  // namespace
+
 bool ServerCache::covers(FileId file, std::uint64_t offset,
                          std::uint64_t length) const {
   if (!enabled()) return false;
@@ -27,7 +33,7 @@ std::uint64_t ServerCache::readahead_hint(FileId file, std::uint64_t offset,
   auto it = stream_end_.find(file);
   const bool sequential =
       it != stream_end_.end() && offset >= it->second &&
-      offset - it->second <= p_.sequential_slack;
+      offset - it->second <= kSequentialSlack;
   stream_end_[file] = offset + length;
   if (!sequential) return 0;
   stream_end_[file] += p_.readahead_bytes;

@@ -22,9 +22,6 @@ struct ServerCacheParams {
   std::uint64_t capacity_bytes = 0;             ///< 0 disables the cache
   std::uint64_t readahead_bytes = 512 * 1024;   ///< window appended to
                                                 ///< sequential misses
-  /// A read continuing within this distance of the previous end of stream
-  /// counts as sequential.
-  std::uint64_t sequential_slack = 64 * 1024;
 };
 
 class ServerCache {

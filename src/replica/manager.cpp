@@ -16,6 +16,11 @@ constexpr std::uint64_t kRepairContext = ~0ull;
 /// Token bucket depth, in scan intervals' worth of budget: bounds the burst
 /// a long idle stretch can bank up.
 constexpr double kTokenBucketDepth = 4.0;
+/// Scan/dispatch period of the repair manager.
+constexpr sim::Time kRepairScanInterval = sim::msec(20);
+/// Copy attempts per (chunk, role) before it is marked unrepairable (e.g. the
+/// surviving copy sits on a latent bad-sector range).
+constexpr std::uint32_t kRepairAttemptCap = 4;
 
 bool test_bit(const std::vector<std::uint64_t>& bits, std::size_t i) {
   return (bits[i / 64] >> (i % 64)) & 1u;
@@ -49,8 +54,7 @@ RepairManager::RepairManager(sim::Engine& eng, net::Network& net,
       map_(std::move(map)),
       injector_(injector),
       mds_node_(mds_node),
-      jobs_live_(std::move(jobs_live)),
-      note_delay_(net.params().switch_latency) {
+      jobs_live_(std::move(jobs_live)) {
   if (injector_) {
     // Our crash model: a dead server's replica regions are dirty — every
     // copy it hosts must be re-replicated from a surviving copy once it is
@@ -164,7 +168,7 @@ void RepairManager::on_server_state_(std::uint32_t server, bool down) {
 void RepairManager::post_invalid_copies(pfs::FileId file, std::uint32_t role,
                                         std::vector<std::uint64_t> chunks) {
   if (chunks.empty()) return;
-  eng_.after(note_delay_, [this, file, role, chunks = std::move(chunks)] {
+  eng_.after(net::kSwitchLatency, [this, file, role, chunks = std::move(chunks)] {
     for (FileState& f : tracked_)
       if (f.id == file)
         for (std::uint64_t k : chunks) note_invalid_(f, k, role);
@@ -180,7 +184,7 @@ bool RepairManager::deficit_actionable_() const {
   for (const FileState& f : tracked_)
     if (any_set_bit(f.invalid, [&](std::size_t slot) {
           if (f.repairing[slot]) return false;
-          if (f.attempts[slot] >= config().repair_attempt_cap) return false;
+          if (f.attempts[slot] >= kRepairAttemptCap) return false;
           const std::uint64_t k = slot / rf;
           const std::uint32_t r = static_cast<std::uint32_t>(slot % rf);
           if (injector_->server_down(map_.server_of(k, r))) return false;
@@ -222,7 +226,7 @@ void RepairManager::issue_repair_(std::size_t file_idx, std::uint64_t chunk,
   // declares the attempt dead (e.g. the source crashed and its reply was
   // squashed) and schedules a fresh one.
   const sim::Time patience =
-      2 * injector_->request_timeout(bytes) + config().repair_scan_interval;
+      2 * injector_->request_timeout(bytes) + kRepairScanInterval;
   eng_.after(patience, [this, file_idx, chunk, role, issue_id, issued_seq] {
     repair_done_(file_idx, chunk, role, issue_id, issued_seq,
                  fault::Status::kTimeout);
@@ -235,9 +239,10 @@ void RepairManager::issue_repair_(std::size_t file_idx, std::uint64_t chunk,
   // service threads, disk schedulers and NIC FIFOs — repair genuinely
   // competes with application I/O.
   auto note = [this, file_idx, chunk, role, issue_id, issued_seq](fault::Status st) {
-    eng_.after(note_delay_, [this, file_idx, chunk, role, issue_id, issued_seq, st] {
-      repair_done_(file_idx, chunk, role, issue_id, issued_seq, st);
-    });
+    eng_.after(net::kSwitchLatency,
+               [this, file_idx, chunk, role, issue_id, issued_seq, st] {
+                 repair_done_(file_idx, chunk, role, issue_id, issued_seq, st);
+               });
   };
   net_.send(
       mds_node_, src_node, 128,
@@ -302,7 +307,7 @@ void RepairManager::repair_done_(std::size_t file_idx, std::uint64_t chunk,
     counters().repair_bytes_copied += std::min(unit, f.size - chunk * unit);
   } else {
     ++counters().repair_ops_failed;
-    if (f.attempts[slot] >= config().repair_attempt_cap)
+    if (f.attempts[slot] >= kRepairAttemptCap)
       ++counters().chunks_unrepairable;
   }
   touch_();
@@ -319,7 +324,7 @@ void RepairManager::start() {
 
 void RepairManager::arm_tick_() {
   ticking_ = true;
-  eng_.after(config().repair_scan_interval, [this] {
+  eng_.after(kRepairScanInterval, [this] {
     ticking_ = false;
     tick();
   });
@@ -329,7 +334,7 @@ void RepairManager::tick() {
   if (!injector_) return;
   touch_();
   const sim::Time now = eng_.now();
-  const double interval_s = sim::to_seconds(config().repair_scan_interval);
+  const double interval_s = sim::to_seconds(kRepairScanInterval);
   repair_tokens_ = std::min(
       repair_tokens_ +
           config().repair_bandwidth * sim::to_seconds(now - last_tick_),
@@ -345,14 +350,14 @@ void RepairManager::tick() {
     FileState& f = tracked_[fi];
     any_set_bit(f.invalid, [&](std::size_t slot) {
       if (f.repairing[slot]) return false;
-      if (f.attempts[slot] >= config().repair_attempt_cap) return false;
+      if (f.attempts[slot] >= kRepairAttemptCap) return false;
       const std::uint64_t k = slot / rf;
       const std::uint32_t r = static_cast<std::uint32_t>(slot % rf);
       const std::uint32_t target = map_.server_of(k, r);
       if (injector_->permanently_down(target, now)) {
         // Fixed placement cannot re-home a copy: a fail-stop target leaves
         // this deficit standing forever. Count it once and stop retrying.
-        f.attempts[slot] = config().repair_attempt_cap;
+        f.attempts[slot] = kRepairAttemptCap;
         ++counters().repair_blocked_permanent;
         return false;
       }

@@ -9,8 +9,8 @@
 //
 // Tracker state changes in three places: the periodic tick, the fault
 // injector's server up/down listener, and invalidation notes that clients
-// post via `post_invalid_copies`, which reach the daemon `note_delay` (the
-// fabric's switch latency) later. Note effects are commutative (set-a-bit,
+// post via `post_invalid_copies`, which reach the daemon one switch hop
+// (net::kSwitchLatency) later. Note effects are commutative (set-a-bit,
 // bump-a-counter), so same-timestamp notes leave the same tracker state in
 // any order.
 //
@@ -97,8 +97,8 @@ class RepairManager {
   void tick();
 
   /// Client entry point: copies of `chunks` under `role` failed a write for
-  /// good and are now stale. The note reaches the tracker `note_delay`
-  /// later; effects commute.
+  /// good and are now stale. The note reaches the tracker one switch hop
+  /// (net::kSwitchLatency) later; effects commute.
   void post_invalid_copies(pfs::FileId file, std::uint32_t role,
                            std::vector<std::uint64_t> chunks);
 
@@ -160,7 +160,6 @@ class RepairManager {
   fault::FaultInjector* injector_;
   net::NodeId mds_node_;
   std::function<bool()> jobs_live_;
-  sim::Time note_delay_;
   Counters counters_;
   std::vector<FileState> tracked_;
   // Token bucket for repair bandwidth.

@@ -20,12 +20,8 @@ void ReplicaConfig::validate(std::uint32_t num_servers) const {
     throw std::invalid_argument("ReplicaConfig: num_racks must be >= 1");
   if (repair_bandwidth <= 0.0)
     throw std::invalid_argument("ReplicaConfig: repair_bandwidth must be > 0");
-  if (repair_scan_interval <= 0)
-    throw std::invalid_argument("ReplicaConfig: repair_scan_interval must be > 0");
   if (repair_batch_chunks == 0)
     throw std::invalid_argument("ReplicaConfig: repair_batch_chunks must be >= 1");
-  if (repair_attempt_cap == 0)
-    throw std::invalid_argument("ReplicaConfig: repair_attempt_cap must be >= 1");
 }
 
 ReplicaMap::ReplicaMap(pfs::StripeLayout layout, ReplicaConfig cfg,

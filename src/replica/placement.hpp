@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "pfs/layout.hpp"
-#include "sim/time.hpp"
 
 namespace dpar::replica {
 
@@ -76,17 +75,8 @@ struct ReplicaConfig {
   /// competes with foreground traffic through the same disks and NICs, and
   /// this caps how hard it competes.
   double repair_bandwidth = 40e6;  ///< bytes/s
-  /// Scan/dispatch period of the repair manager.
-  sim::Time repair_scan_interval = sim::msec(20);
   /// Max repair copies in flight per tick batch.
   std::uint32_t repair_batch_chunks = 8;
-  /// Copy attempts per (chunk, role) before it is marked unrepairable
-  /// (e.g. the surviving copy sits on a latent bad-sector range).
-  std::uint32_t repair_attempt_cap = 4;
-  /// Read retry budget per shard before failing over to the next replica
-  /// (smaller than the full retry cap: surviving copies make patience
-  /// cheap). Writes always use the plan's full retry budget.
-  std::uint32_t read_failover_after_retries = 1;
 
   bool enabled() const { return replication_factor > 1; }
 

@@ -167,30 +167,6 @@ TEST(CacheCapacity, DirtyChunksAreNeverEvicted) {
   EXPECT_EQ(cache.total_valid_bytes(), 6u * 64 * 1024);
 }
 
-TEST(CollectiveAggregators, CapLimitsAggregatorCount) {
-  auto rounds_with_cap = [](std::uint32_t cap) {
-    harness::TestbedConfig cfg;
-    cfg.data_servers = 3;
-    cfg.compute_nodes = 4;
-    cfg.collective.max_aggregators = cap;
-    harness::Testbed tb(cfg);
-    wl::NoncontigConfig nc;
-    nc.columns = 8;
-    nc.elmt_count = 256;
-    nc.rows = 128;
-    nc.collective = true;
-    nc.file = tb.create_file("f", nc.columns * nc.elmt_count * 4 * nc.rows);
-    auto& job = tb.add_job("c", 8, tb.collective(),
-                           [nc](std::uint32_t) { return wl::make_noncontig(nc); },
-                           dualpar::Policy::kForcedNormal);
-    tb.run();
-    EXPECT_TRUE(job.finished());
-    return job.total_bytes();
-  };
-  // Both configurations move all application bytes.
-  EXPECT_EQ(rounds_with_cap(0), rounds_with_cap(1));
-}
-
 TEST(CacheEviction, IdleChunksExpireDuringLongRuns) {
   // Two widely separated jobs: the first job's chunks must be gone (idle
   // eviction tick) by the time the run ends, not accumulated forever.
@@ -253,38 +229,6 @@ TEST(CsvExport, TraceRoundTrips) {
 TEST(CsvExport, FailsOnUnwritablePath) {
   sim::TimeSeries s;
   EXPECT_FALSE(metrics::write_series_csv("/nonexistent-dir/x.csv", s));
-}
-
-TEST(DiskPlugging, DelayedDispatchBatchesABurst) {
-  // With plugging enabled, a burst arriving within the plug window is
-  // dispatched in sorted order even under NOOP-free arrival order.
-  Engine eng;
-  disk::DiskParams p;
-  p.plug_delay = sim::msec(2);
-  disk::DiskDevice dev(eng, p, disk::make_cfq_scheduler());
-  std::vector<std::uint64_t> lbas = {9000, 1000, 5000, 3000, 7000};
-  for (std::uint64_t lba : lbas) {
-    disk::Request r = make_req(lba, lba, 16, 0);
-    dev.submit(std::move(r));
-  }
-  eng.run();
-  const auto& evs = dev.trace().events();
-  ASSERT_EQ(evs.size(), 5u);
-  for (std::size_t i = 1; i < evs.size(); ++i) EXPECT_GT(evs[i].lba, evs[i - 1].lba);
-  // Nothing dispatched before the plug window elapsed.
-  EXPECT_GE(evs.front().time, sim::msec(2));
-}
-
-TEST(DiskPlugging, ThresholdUnplugsEarly) {
-  Engine eng;
-  disk::DiskParams p;
-  p.plug_delay = sim::secs(10);  // absurdly long; threshold must fire first
-  p.plug_threshold = 4;
-  disk::DiskDevice dev(eng, p, disk::make_cfq_scheduler());
-  for (std::uint64_t i = 0; i < 4; ++i) dev.submit(make_req(i, i * 1000, 16, 0));
-  eng.run();
-  EXPECT_EQ(dev.trace().events().size(), 4u);
-  EXPECT_LT(dev.trace().events().front().time, sim::secs(1));
 }
 
 }  // namespace

@@ -165,33 +165,6 @@ TEST(Collective, WritePathDeliversAllBytes) {
   EXPECT_EQ(written, fsize);
 }
 
-TEST(Collective, WriteSievingDoesReadModifyWrite) {
-  auto server_reads = [&](bool rmw) {
-    harness::TestbedConfig cfg = small_config();
-    cfg.collective.write_sieving = rmw;
-    harness::Testbed tb(cfg);
-    wl::NoncontigConfig nc;
-    nc.columns = 4;
-    nc.elmt_count = 256;
-    nc.rows = 128;
-    nc.collective = true;
-    nc.is_write = true;
-    const std::uint64_t fsize = nc.columns * nc.elmt_count * 4 * nc.rows;
-    nc.file = tb.create_file("a", fsize);
-    auto& job = tb.add_job("w", 2, tb.collective(), [&](std::uint32_t) {
-      return wl::make_noncontig(nc);  // 2 of 4 columns -> holes in the span
-    }, dualpar::Policy::kForcedNormal);
-    tb.run();
-    EXPECT_TRUE(job.finished());
-    std::uint64_t reads = 0;
-    for (std::uint32_t s = 0; s < tb.num_servers(); ++s)
-      reads += tb.server(s).bytes_read();
-    return reads;
-  };
-  EXPECT_EQ(server_reads(false), 0u);  // native list I/O: pure writes
-  EXPECT_GT(server_reads(true), 0u);   // RMW path read the spans first
-}
-
 TEST(Collective, DataSievingReadsContiguousSpan) {
   // Dense interleaved reads within a small span: aggregators should sieve
   // (single span read), so servers see slightly MORE bytes than requested.
@@ -280,11 +253,12 @@ std::vector<pfs::Segment> reference_sort_and_merge(std::vector<pfs::Segment> seg
 }
 
 /// The planner as it was written with two std::maps keyed by (aggregator,
-/// participant node): aggregators in first-arrival order, then sorted by node
-/// and capped; flows in map order.
+/// participant node): aggregators in first-arrival order, then sorted by
+/// node; flows in map order. Adds the number of read spans it sieved to
+/// `sieved`.
 bool reference_plan(const std::vector<RoundInput>& inputs, bool is_write,
-                    const CollectiveParams& params, std::vector<RoundAgg>& aggs,
-                    std::vector<RoundFlow>& flows) {
+                    std::vector<RoundAgg>& aggs, std::vector<RoundFlow>& flows,
+                    int& sieved) {
   aggs.clear();
   flows.clear();
   std::uint64_t lo = UINT64_MAX, hi = 0, useful = 0;
@@ -301,13 +275,11 @@ bool reference_plan(const std::vector<RoundInput>& inputs, bool is_write,
   for (const auto& in : inputs) {
     if (std::find(nodes.begin(), nodes.end(), in.node) == nodes.end()) {
       nodes.push_back(in.node);
-      aggs.push_back(RoundAgg{in.node, in.context, {}, false});
+      aggs.push_back(RoundAgg{in.node, in.context, {}});
     }
   }
   std::sort(aggs.begin(), aggs.end(),
             [](const RoundAgg& a, const RoundAgg& b) { return a.node < b.node; });
-  if (params.max_aggregators > 0 && aggs.size() > params.max_aggregators)
-    aggs.resize(params.max_aggregators);
   const std::uint64_t nagg = aggs.size();
   const std::uint64_t domain = (hi - lo + nagg - 1) / nagg;
   std::map<std::pair<std::uint64_t, net::NodeId>, std::uint64_t> shuffle_map;
@@ -332,15 +304,12 @@ bool reference_plan(const std::vector<RoundInput>& inputs, bool is_write,
     const std::uint64_t span = a.segs.back().end() - a.segs.front().offset;
     std::uint64_t use = 0;
     for (const auto& s : a.segs) use += s.length;
-    const bool dense = span <= params.sieve_buffer &&
+    const bool dense = span <= kSieveBuffer &&
                        static_cast<double>(use) / static_cast<double>(span) >=
-                           params.sieve_min_density;
-    if (!dense) continue;
-    if (!is_write) {
+                           kSieveMinDensity;
+    if (dense && !is_write) {
       a.segs = {pfs::Segment{a.segs.front().offset, span}};
-    } else if (params.write_sieving) {
-      a.segs = {pfs::Segment{a.segs.front().offset, span}};
-      a.rmw = true;
+      ++sieved;
     }
   }
   for (const auto& [key, meta] : meta_map)
@@ -354,11 +323,8 @@ TEST(CollectivePlan, MatchesMapBasedReference) {
   RoundPlan plan;  // reused across cases, as the driver's pooled rounds do
   std::vector<RoundAgg> ref_aggs;
   std::vector<RoundFlow> ref_flows;
-  int planned = 0, rmw = 0;
+  int planned = 0, sieved = 0;
   for (int iter = 0; iter < 3000; ++iter) {
-    CollectiveParams params;
-    params.max_aggregators = std::vector<std::uint32_t>{0, 1, 3}[rng.uniform(3)];
-    params.write_sieving = rng.uniform(2) == 1;
     const bool is_write = rng.uniform(2) == 1;
     // A few non-contiguous node ids, ranks placed on them at random.
     std::vector<net::NodeId> node_ids(1 + rng.uniform(5));
@@ -378,17 +344,15 @@ TEST(CollectivePlan, MatchesMapBasedReference) {
       inputs.push_back(RoundInput{node_ids[rng.uniform(node_ids.size())],
                                   1000 + r, segs[r]});
 
-    const bool got = plan_round(inputs, is_write, params, plan);
-    const bool want = reference_plan(inputs, is_write, params, ref_aggs, ref_flows);
+    const bool got = plan_round(inputs, is_write, plan);
+    const bool want = reference_plan(inputs, is_write, ref_aggs, ref_flows, sieved);
     ASSERT_EQ(got, want) << "case " << iter;
     if (got) ++planned;
-    for (const RoundAgg& a : ref_aggs) rmw += a.rmw;
     ASSERT_EQ(plan.aggs.size(), ref_aggs.size()) << "case " << iter;
     for (std::size_t a = 0; a < ref_aggs.size(); ++a) {
       EXPECT_EQ(plan.aggs[a].node, ref_aggs[a].node) << "case " << iter;
       EXPECT_EQ(plan.aggs[a].context, ref_aggs[a].context) << "case " << iter;
       EXPECT_EQ(plan.aggs[a].segs, ref_aggs[a].segs) << "case " << iter;
-      EXPECT_EQ(plan.aggs[a].rmw, ref_aggs[a].rmw) << "case " << iter;
     }
     ASSERT_EQ(plan.flows.size(), ref_flows.size()) << "case " << iter;
     for (std::size_t i = 0; i < ref_flows.size(); ++i) {
@@ -401,7 +365,7 @@ TEST(CollectivePlan, MatchesMapBasedReference) {
     if (HasFailure()) return;
   }
   EXPECT_GT(planned, 2000);
-  EXPECT_GT(rmw, 0);  // write sieving was exercised
+  EXPECT_GT(sieved, 0);  // dense-span read sieving was exercised
 }
 
 }  // namespace

@@ -95,9 +95,7 @@ TEST(CfqScheduler, SliceExpiryRotatesContexts) {
 
 TEST(DiskDevice, AnticipationWaitInterruptedByNewArrival) {
   Engine eng;
-  DiskParams p;
-  p.plug_delay = 0;
-  DiskDevice dev(eng, p, make_cfq_scheduler());
+  DiskDevice dev(eng, DiskParams{}, make_cfq_scheduler());
   std::vector<Time> completions;
   Request r1 = req(1, 1000, 8, /*ctx=*/5);
   r1.done = [&](fault::Status) { completions.push_back(eng.now()); };
@@ -116,9 +114,7 @@ TEST(DiskDevice, AnticipationWaitInterruptedByNewArrival) {
 
 TEST(DiskDevice, AccountingMatchesWork) {
   Engine eng;
-  DiskParams p;
-  p.plug_delay = 0;
-  DiskDevice dev(eng, p, make_noop_scheduler());
+  DiskDevice dev(eng, DiskParams{}, make_noop_scheduler());
   for (std::uint64_t i = 0; i < 4; ++i) dev.submit(req(i, i * 100000, 64));
   eng.run();
   EXPECT_EQ(dev.requests_served(), 4u);
@@ -143,9 +139,7 @@ TEST(BlkTrace, KeepEventsOffStillCountsStats) {
 
 TEST(Raid0Device, SingleSectorRequests) {
   Engine eng;
-  DiskParams p;
-  p.plug_delay = 0;
-  Raid0Device raid(eng, p, make_noop_scheduler(), make_noop_scheduler());
+  Raid0Device raid(eng, DiskParams{}, make_noop_scheduler(), make_noop_scheduler());
   int done = 0;
   for (std::uint64_t i = 0; i < 4; ++i) {
     Request r = req(i, i * 128, 1);  // one sector in each chunk

@@ -14,9 +14,9 @@ BENCH_sim_core.json (or DPAR_BENCH_JSON) and applies two checks:
    events/sec. This catches large regressions on comparable hardware;
    the ratio gates above are the authoritative cross-machine signal.
 
-On a fresh clone the baseline file may not exist yet; in that case this
-script seeds it from the current run's rates and reports success, so the
-first CI run establishes the floor instead of erroring.
+The baseline file is read-only here: a label the run reports but the
+baseline lacks is printed as "no baseline row; not gated", and a missing
+baseline file counts as empty. New floors are added to the file by hand.
 
 Exit status is non-zero on any failure unless --warn-only is given
 (sanitizer legs: instrumentation skews timings far beyond 30%).
@@ -42,8 +42,8 @@ GATED_POLICIES = ("deadline", "cscan", "cfq", "anticipatory")
 UNGATED_POLICIES = ("noop",)
 # Benchmarks that must be present in every bench_micro run: a silently
 # dropped benchmark would otherwise keep passing on its stale baseline row.
-# Each entry is gated by the absolute floor below once the auto-seeded
-# baseline picks it up (extend_baseline on the first run after landing).
+# Each entry is gated by the absolute floor below once the baseline has a
+# row for it.
 REQUIRED_LABELS = ("BM_RepairThroughput",
                    "BM_EventQueueSweep",
                    "BM_EventQueueTimerChurn")
@@ -169,35 +169,6 @@ def gate_scaleout(path, failures, required):
         print(f"  peak RSS {float(rss['value']):.1f} MB (tracked, never gated)")
 
 
-def seed_baseline(path, current):
-    """First run on a fresh clone: write the baseline from the current
-    rates so later runs have an absolute floor to compare against."""
-    rates = dict(sorted(current.items()))
-    with open(path, "w") as f:
-        json.dump(rates, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"perf-smoke: baseline {path!r} was missing; seeded it with "
-          f"{len(rates)} rates from this run (no gate applied)")
-
-
-def extend_baseline(path, baseline, current):
-    """A new benchmark (e.g. BM_EventQueueSweep on its first run after
-    landing) has no checked-in floor yet: append its current rate to the
-    baseline file so the *next* run gates it. The current run is not gated
-    against the rate it just produced."""
-    fresh = {label: value for label, value in sorted(current.items())
-             if label not in baseline}
-    if not fresh:
-        return
-    merged = dict(baseline)
-    merged.update(fresh)
-    with open(path, "w") as f:
-        json.dump(merged, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"perf-smoke: added {len(fresh)} new benchmark(s) to {path!r}: "
-          + ", ".join(sorted(fresh)))
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--current", default="BENCH_sim_core.json",
@@ -217,9 +188,10 @@ def main():
             f"perf_smoke: cannot read current perf JSON {args.current!r}: "
             f"{e.strerror or e} — run build/bench/bench_micro first (it writes "
             "the dpar-bench-perf-v1 report this gate consumes)")
-    # Figure/table suite rates join the same auto-seeded baseline flow as the
-    # micros, but with the tighter MAX_FIGURE_REGRESSION floor below.
+    # Figure/table suite rates are gated like the micros, but with the
+    # tighter MAX_FIGURE_REGRESSION floor below.
     current.update(load_figure_rates(args.current))
+    baseline = {}
     if os.path.exists(args.baseline):
         try:
             with open(args.baseline) as f:
@@ -231,10 +203,6 @@ def main():
         except ValueError as e:
             raise SystemExit(
                 f"perf_smoke: baseline file {args.baseline!r} is not valid JSON: {e}")
-    else:
-        seed_baseline(args.baseline, current)
-        baseline = {}
-    extend_baseline(args.baseline, baseline, current)
 
     failures = []
 
@@ -319,6 +287,8 @@ def main():
                 f"{base:.3g} (limit {limit:.0%})"
                 + (f" [{cfg}]" if cfg else ""))
         print(f"  {label:<45} {delta:+7.1%}{'  FAIL' if bad else ''}")
+    for label in sorted(set(current) - set(baseline)):
+        print(f"  {label:<45} no baseline row; not gated")
 
     if failures:
         print(f"\nperf-smoke: {len(failures)} failure(s)")
