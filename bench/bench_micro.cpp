@@ -250,10 +250,6 @@ BENCHMARK_CAPTURE(BM_SchedDutyCycle, cfq_flat,
                   +[] { return disk::make_cfq_scheduler(); });
 BENCHMARK_CAPTURE(BM_SchedDutyCycle, cfq_ref,
                   +[] { return disk::make_reference_cfq_scheduler(); });
-BENCHMARK_CAPTURE(BM_SchedDutyCycle, anticipatory_flat,
-                  +[] { return disk::make_anticipatory_scheduler(); });
-BENCHMARK_CAPTURE(BM_SchedDutyCycle, anticipatory_ref,
-                  +[] { return disk::make_reference_anticipatory_scheduler(); });
 
 // Network send/deliver churn: the per-message path is one Transit control
 // block + two FifoResource hops; one item = one delivered message.

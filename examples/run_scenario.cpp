@@ -12,7 +12,7 @@
 //   --procs N   --servers N   --nodes N    (cluster shape)
 //   --mb N                                 (data volume in MB)
 //   --quota KB                             (per-process cache quota)
-//   --sched     cfq|deadline|cscan|noop|anticipatory
+//   --sched     cfq|deadline|cscan|noop
 //   --csv PATH  write PATH.throughput.csv / PATH.seek.csv / PATH.trace.csv
 #include <cstdio>
 #include <cstdlib>
@@ -76,7 +76,6 @@ disk::SchedulerKind sched_of(const std::string& s) {
   if (s == "noop") return disk::SchedulerKind::kNoop;
   if (s == "deadline") return disk::SchedulerKind::kDeadline;
   if (s == "cscan") return disk::SchedulerKind::kCscan;
-  if (s == "anticipatory") return disk::SchedulerKind::kAnticipatory;
   return disk::SchedulerKind::kCfq;
 }
 

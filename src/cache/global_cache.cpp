@@ -45,31 +45,6 @@ bool GlobalCache::covers(pfs::FileId file, const pfs::Segment& seg) const {
   return all;
 }
 
-std::vector<pfs::Segment> GlobalCache::missing(pfs::FileId file,
-                                               const pfs::Segment& seg) const {
-  std::vector<pfs::Segment> out;
-  slices(params_.chunk_bytes, seg,
-         [&](std::uint64_t index, std::uint64_t within, std::uint64_t take) {
-           const std::uint64_t chunk_base = index * params_.chunk_bytes;
-           auto it = chunks_.find(ChunkKey{file, index});
-           std::vector<ByteRange> gaps;
-           if (it == chunks_.end()) {
-             gaps.push_back(ByteRange{within, within + take});
-           } else {
-             gaps = it->second.valid.gaps_within(within, within + take);
-           }
-           for (const auto& g : gaps) {
-             const std::uint64_t b = chunk_base + g.begin;
-             if (!out.empty() && out.back().end() == b) {
-               out.back().length += g.length();
-             } else {
-               out.push_back(pfs::Segment{b, g.length()});
-             }
-           }
-         });
-  return out;
-}
-
 void GlobalCache::insert(pfs::FileId file, const pfs::Segment& seg, std::uint64_t owner,
                          bool prefetched, net::NodeId home_hint) {
   slices(params_.chunk_bytes, seg,

@@ -68,9 +68,6 @@ class GlobalCache {
   /// True when every byte of `seg` is valid in the cache.
   bool covers(pfs::FileId file, const pfs::Segment& seg) const;
 
-  /// Sub-segments of `seg` not valid in the cache.
-  std::vector<pfs::Segment> missing(pfs::FileId file, const pfs::Segment& seg) const;
-
   /// Mark `seg` valid (after a prefetch or read-through fill). `home_hint`
   /// places newly created chunks on a specific node — CRM uses the future
   /// consumer's node so the consumption phase stays local; kAutoHome falls

@@ -1,8 +1,8 @@
 // Reference (multimap-based) scheduler implementations.
 //
 // These are the original node-based-container schedulers, retained verbatim
-// after the flat rewrites in sched_simple.cpp / sched_cfq.cpp /
-// sched_anticipatory.cpp. They exist for two consumers:
+// after the flat rewrites in sched_simple.cpp / sched_cfq.cpp. They exist
+// for two consumers:
 //  * tests/test_sched_model.cpp runs every flat scheduler differentially
 //    against its reference here on randomized arrival/dispatch/expiry
 //    sequences — the flat implementations must reproduce these decisions
@@ -222,90 +222,6 @@ class RefCfqScheduler final : public IoScheduler {
   std::size_t pending_ = 0;
 };
 
-class RefAnticipatoryScheduler final : public IoScheduler {
- public:
-  RefAnticipatoryScheduler(sim::Time antic_window, sim::Time max_wait)
-      : window_(antic_window), max_wait_(max_wait) {}
-
-  void enqueue(Request r, sim::Time now) override {
-    auto& st = stats_[r.context];
-    if (st.last_completion >= 0) {
-      st.think_time.add(static_cast<double>(now - st.last_completion));
-      const std::uint64_t dist = r.lba > st.last_end ? r.lba - st.last_end
-                                                     : st.last_end - r.lba;
-      st.seek_dist.add(static_cast<double>(dist));
-    }
-    sorted_.emplace(r.lba, std::move(r));
-  }
-
-  Decision next(std::uint64_t head_lba, sim::Time now) override {
-    if (sorted_.empty()) {
-      if (anticipating_ && now < antic_deadline_)
-        return Decision::wait(antic_deadline_);
-      anticipating_ = false;
-      return Decision::idle();
-    }
-    if (anticipating_ && now < antic_deadline_) {
-      auto it = pick(head_lba);
-      const std::uint64_t dist = it->second.lba > head_lba
-                                     ? it->second.lba - head_lba
-                                     : head_lba - it->second.lba;
-      if (it->second.context == antic_context_ || dist <= kNearSectors) {
-        anticipating_ = false;  // the bet paid off (or a near request showed up)
-      } else {
-        return Decision::wait(antic_deadline_);
-      }
-    }
-    anticipating_ = false;
-    auto it = pick(head_lba);
-    Request r = std::move(it->second);
-    sorted_.erase(it);
-    return Decision::dispatch(std::move(r));
-  }
-
-  void completed(const Request& r, sim::Time now) override {
-    auto& st = stats_[r.context];
-    st.last_completion = now;
-    st.last_end = r.end_lba();
-    const bool thinky =
-        !st.think_time.has_value() ||
-        st.think_time.value() <= static_cast<double>(window_);
-    const bool local =
-        !st.seek_dist.has_value() || st.seek_dist.value() <= kNearSectors * 16;
-    if (!r.is_write && thinky && local) {
-      anticipating_ = true;
-      antic_context_ = r.context;
-      antic_deadline_ = now + std::min(window_, max_wait_);
-    }
-  }
-
-  std::size_t pending() const override { return sorted_.size(); }
-  std::string name() const override { return "anticipatory-ref"; }
-
- private:
-  static constexpr std::uint64_t kNearSectors = 2048;  // ~1 MB
-
-  struct CtxStats {
-    sim::Time last_completion = -1;
-    std::uint64_t last_end = 0;
-    sim::Ewma think_time{0.3};
-    sim::Ewma seek_dist{0.3};
-  };
-
-  std::multimap<std::uint64_t, Request>::iterator pick(std::uint64_t head_lba) {
-    auto it = sorted_.lower_bound(head_lba);
-    if (it == sorted_.end()) it = sorted_.begin();  // one-directional wrap
-    return it;
-  }
-
-  sim::Time window_, max_wait_;
-  std::multimap<std::uint64_t, Request> sorted_;
-  std::map<std::uint64_t, CtxStats> stats_;
-  bool anticipating_ = false;
-  std::uint64_t antic_context_ = 0;
-  sim::Time antic_deadline_ = 0;
-};
-
 }  // namespace
 
 std::unique_ptr<IoScheduler> make_reference_noop_scheduler() {
@@ -320,10 +236,6 @@ std::unique_ptr<IoScheduler> make_reference_cscan_scheduler() {
 }
 std::unique_ptr<IoScheduler> make_reference_cfq_scheduler(CfqParams p) {
   return std::make_unique<RefCfqScheduler>(p);
-}
-std::unique_ptr<IoScheduler> make_reference_anticipatory_scheduler(
-    sim::Time antic_window, sim::Time max_wait) {
-  return std::make_unique<RefAnticipatoryScheduler>(antic_window, max_wait);
 }
 
 }  // namespace dpar::disk

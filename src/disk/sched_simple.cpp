@@ -133,7 +133,6 @@ std::unique_ptr<IoScheduler> make_scheduler(SchedulerKind kind) {
     case SchedulerKind::kDeadline: return make_deadline_scheduler();
     case SchedulerKind::kCscan: return make_cscan_scheduler();
     case SchedulerKind::kCfq: return make_cfq_scheduler();
-    case SchedulerKind::kAnticipatory: return make_anticipatory_scheduler();
   }
   return make_cfq_scheduler();
 }

@@ -68,13 +68,8 @@ struct CfqParams {
 };
 std::unique_ptr<IoScheduler> make_cfq_scheduler(CfqParams p = {});
 
-/// Anticipatory scheduler (Iyer & Druschel): sector-sorted service with
-/// system-wide anticipation of the last-served synchronous context.
-std::unique_ptr<IoScheduler> make_anticipatory_scheduler(
-    sim::Time antic_window = sim::msec(6), sim::Time max_wait = sim::msec(10));
-
 /// Named construction for config-driven experiments.
-enum class SchedulerKind { kNoop, kDeadline, kCscan, kCfq, kAnticipatory };
+enum class SchedulerKind { kNoop, kDeadline, kCscan, kCfq };
 std::unique_ptr<IoScheduler> make_scheduler(SchedulerKind kind);
 
 /// Frozen multimap-based originals (sched_reference.cpp): the differential
@@ -85,7 +80,5 @@ std::unique_ptr<IoScheduler> make_reference_deadline_scheduler(
     sim::Time read_deadline = sim::msec(500), sim::Time write_deadline = sim::secs(5));
 std::unique_ptr<IoScheduler> make_reference_cscan_scheduler();
 std::unique_ptr<IoScheduler> make_reference_cfq_scheduler(CfqParams p = {});
-std::unique_ptr<IoScheduler> make_reference_anticipatory_scheduler(
-    sim::Time antic_window = sim::msec(6), sim::Time max_wait = sim::msec(10));
 
 }  // namespace dpar::disk

@@ -76,13 +76,7 @@ void GhostRunner::step() {
       }
       continue;
     }
-    if (std::holds_alternative<mpi::OpBarrier>(op) ||
-        std::holds_alternative<mpi::OpAllreduce>(op))
-      continue;  // ghosts skip syncs
-    if (std::holds_alternative<mpi::OpSend>(op) ||
-        std::holds_alternative<mpi::OpRecv>(op))
-      continue;  // ghosts cannot communicate; predictions past data exchanges
-                 // may be wrong, which mis-prefetch detection covers (§IV-C)
+    if (std::holds_alternative<mpi::OpBarrier>(op)) continue;  // ghosts skip syncs
     // OpEnd
     pause();
     return;

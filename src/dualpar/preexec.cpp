@@ -142,11 +142,8 @@ void PreexecDriver::pump(mpi::Process& proc, PState& st) {
       }
       continue;
     }
-    if (std::holds_alternative<mpi::OpBarrier>(op) ||
-        std::holds_alternative<mpi::OpAllreduce>(op) ||
-        std::holds_alternative<mpi::OpSend>(op) ||
-        std::holds_alternative<mpi::OpRecv>(op))
-      continue;  // the prefetcher cannot synchronize or communicate
+    if (std::holds_alternative<mpi::OpBarrier>(op))
+      continue;  // the prefetcher cannot synchronize
     st.ghost_end = true;
   }
   // Stalled (window full or program over) with a parked reader whose data is

@@ -121,7 +121,7 @@ mpi::Job& Testbed::add_job(const std::string& name, std::uint32_t nprocs,
                            mpi::IoDriver& driver, const mpi::Job::ProgramFactory& factory,
                            dualpar::Policy policy, sim::Time start_at) {
   jobs_.push_back(
-      std::make_unique<mpi::Job>(eng_, next_job_id_++, name, driver, *net_));
+      std::make_unique<mpi::Job>(eng_, next_job_id_++, name, driver));
   mpi::Job& job = *jobs_.back();
   job.spawn(nprocs, compute_nodes(), factory, next_gid_);
   next_gid_ += nprocs;

@@ -41,13 +41,4 @@ std::string format_fault_report(const fault::Counters& c) {
   return os.str();
 }
 
-std::string fault_summary_line(const fault::Counters& c) {
-  std::ostringstream os;
-  os << "faults: disk=" << c.disk_media_errors << " drops=" << c.net_dropped
-     << " crashes=" << c.server_crashes << " timeouts=" << c.client_timeouts
-     << " retries=" << c.client_retries << " failures=" << c.client_failures
-     << " degraded=" << c.emc_degraded_entries;
-  return os.str();
-}
-
 }  // namespace dpar::metrics

@@ -19,7 +19,4 @@ std::vector<std::pair<std::string, std::uint64_t>> fault_counter_rows(
 /// is information when faults were expected).
 std::string format_fault_report(const fault::Counters& c);
 
-/// One-line summary of the counters that matter at a glance.
-std::string fault_summary_line(const fault::Counters& c);
-
 }  // namespace dpar::metrics

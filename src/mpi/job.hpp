@@ -4,16 +4,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/node.hpp"
 #include "mpi/program.hpp"
-#include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/func.hpp"
 #include "sim/stats.hpp"
@@ -50,7 +47,6 @@ enum class ProcState {
   kBlockedIo,    ///< inside an I/O call, driver working
   kSuspended,    ///< parked by DualPar's PEC awaiting a data-driven cycle
   kAtBarrier,
-  kBlockedComm,  ///< in a blocking send/recv awaiting its match
   kFinished,
 };
 
@@ -96,9 +92,6 @@ class Process {
   void handle(OpCompute op);
   void handle(OpIo op);
   void handle(OpBarrier op);
-  void handle(OpAllreduce op);
-  void handle(OpSend op);
-  void handle(OpRecv op);
   void handle(OpEnd op);
 
   sim::Engine& eng_;
@@ -122,9 +115,7 @@ class Job {
  public:
   using ProgramFactory = std::function<std::unique_ptr<Program>(std::uint32_t rank)>;
 
-  /// `net` carries the ranks' point-to-point messages.
-  Job(sim::Engine& eng, std::uint32_t id, std::string name, IoDriver& driver,
-      net::Network& net);
+  Job(sim::Engine& eng, std::uint32_t id, std::string name, IoDriver& driver);
 
   /// Create `nprocs` rank processes, distributed round-robin over `nodes`.
   /// `first_global_id` spaces process ids so concurrent jobs don't collide.
@@ -157,20 +148,10 @@ class Job {
   sim::Histogram write_latency() const;
 
   /// Barrier entry from `proc`; `resume` fires when all live ranks arrived.
-  /// `payload_bytes` > 0 models a synchronizing collective (allreduce):
-  /// every rank additionally pays ~2 log2(P) payload exchanges.
-  void barrier_enter(Process& proc, sim::UniqueFunction resume,
-                     std::uint64_t payload_bytes = 0);
+  void barrier_enter(Process& proc, sim::UniqueFunction resume);
 
-  /// Rendezvous point-to-point matching: both sides resume once the payload
-  /// has crossed the network.
-  void comm_send(Process& proc, std::uint32_t dest, std::uint64_t bytes, int tag,
-                 sim::UniqueFunction resume);
-  void comm_recv(Process& proc, std::uint32_t src, int tag,
-                 sim::UniqueFunction resume);
-
-  /// Count of processes in any of the given parked states; the DualPar cycle
-  /// coordinator triggers when parked == nprocs.
+  /// True when every rank is suspended, at the barrier or finished (and the
+  /// job has ranks); the DualPar cycle coordinator triggers on it.
   bool all_parked() const;
 
   /// Internal: called by Process.
@@ -179,14 +160,10 @@ class Job {
  private:
   void release_barrier_if_ready();
 
-  void comm_transfer(std::uint32_t src_rank, std::uint32_t dst_rank,
-                     std::uint64_t bytes, sim::UniqueFunction done);
-
   sim::Engine& eng_;
   std::uint32_t id_;
   std::string name_;
   IoDriver& driver_;
-  net::Network& net_;
   std::vector<std::unique_ptr<Process>> procs_;
   std::uint32_t finished_ = 0;
   sim::Time start_time_ = -1;
@@ -199,20 +176,6 @@ class Job {
     sim::UniqueFunction resume;
   };
   std::vector<BarrierWaiter> barrier_waiters_;
-  std::uint64_t barrier_payload_ = 0;
-
-  // Point-to-point rendezvous queues, keyed by (src, dst, tag).
-  struct CommKey {
-    std::uint32_t src, dst;
-    int tag;
-    friend auto operator<=>(const CommKey&, const CommKey&) = default;
-  };
-  struct PendingSend {
-    std::uint64_t bytes;
-    sim::UniqueFunction resume;
-  };
-  std::map<CommKey, std::deque<PendingSend>> pending_sends_;
-  std::map<CommKey, std::deque<sim::UniqueFunction>> pending_recvs_;
 };
 
 }  // namespace dpar::mpi

@@ -42,27 +42,9 @@ struct OpIo {
   IoCall call;
 };
 struct OpBarrier {};
-/// Synchronizing collective reduction: all ranks contribute `bytes` and
-/// leave together after ~2 log2(P) exchange rounds.
-struct OpAllreduce {
-  std::uint64_t bytes = 0;
-};
-/// Blocking (rendezvous) point-to-point send to `dest`.
-struct OpSend {
-  std::uint32_t dest = 0;
-  std::uint64_t bytes = 0;
-  int tag = 0;
-};
-/// Blocking receive from `src` (no wildcard sources: workloads are
-/// deterministic).
-struct OpRecv {
-  std::uint32_t src = 0;
-  int tag = 0;
-};
 struct OpEnd {};
 
-using Op =
-    std::variant<OpCompute, OpIo, OpBarrier, OpAllreduce, OpSend, OpRecv, OpEnd>;
+using Op = std::variant<OpCompute, OpIo, OpBarrier, OpEnd>;
 
 /// Execution context handed to Program::next.
 struct ProgramContext {

@@ -18,8 +18,6 @@ struct AccessPattern {
   std::uint64_t read_bytes = 0;
   std::uint64_t write_bytes = 0;
   std::uint64_t barriers = 0;
-  std::uint64_t sends = 0;
-  std::uint64_t recvs = 0;
   sim::Time compute = 0;
   std::uint64_t min_segment = UINT64_MAX;
   std::uint64_t max_segment = 0;

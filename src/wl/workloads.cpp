@@ -8,13 +8,10 @@ namespace {
 
 using mpi::IoCall;
 using mpi::Op;
-using mpi::OpAllreduce;
 using mpi::OpBarrier;
 using mpi::OpCompute;
 using mpi::OpEnd;
 using mpi::OpIo;
-using mpi::OpRecv;
-using mpi::OpSend;
 using mpi::ProgramContext;
 using pfs::Segment;
 
@@ -297,7 +294,6 @@ class BtioProgram final : public Cloneable<BtioProgram> {
         if (step_ >= cfg_.write_steps && pass_ == 1) {
           step_ = 0;  // restart the step counter for the read-back pass
         }
-        if (cfg_.allreduce_bytes > 0) return OpAllreduce{cfg_.allreduce_bytes};
         return OpBarrier{};
     }
     return OpEnd{};
@@ -309,92 +305,6 @@ class BtioProgram final : public Cloneable<BtioProgram> {
   std::uint64_t row_ = 0;
   int pass_ = 0;  // 0 = write phase, 1 = read-back, 2 = done
   Phase phase_ = Phase::kCompute;
-};
-
-class MasterWorkerProgram final : public Cloneable<MasterWorkerProgram> {
- public:
-  explicit MasterWorkerProgram(const MasterWorkerConfig& cfg)
-      : cfg_(cfg), rng_(cfg.seed) {}
-
-  Op next(ProgramContext& ctx) override {
-    if (ctx.nprocs < 2) return OpEnd{};  // needs at least one worker
-    if (!seeded_) {
-      rng_ = sim::Rng(cfg_.seed * 77 + ctx.rank + 1);
-      seeded_ = true;
-    }
-    workers_ = ctx.nprocs - 1;
-    return ctx.rank == 0 ? master_next() : worker_next(ctx);
-  }
-
- private:
-  static constexpr int kDispatchTag = 1;
-  static constexpr int kResultTag = 2;
-
-  Op master_next() {
-    if (query_ >= cfg_.queries) return OpEnd{};
-    switch (step_) {
-      case 0:
-        step_ = 1;
-        return OpSend{1 + query_ % workers_, 64, kDispatchTag};
-      case 1:
-        step_ = 2;
-        return OpRecv{1 + query_ % workers_, kResultTag};
-      default: {
-        step_ = 0;
-        IoCall call;
-        call.file = cfg_.result_file;
-        call.is_write = true;
-        const std::uint64_t len = rng_.uniform_between(cfg_.min_size, cfg_.max_size);
-        call.segments.push_back(Segment{write_pos_, len});
-        write_pos_ += len;
-        ++query_;
-        return OpIo{std::move(call)};
-      }
-    }
-  }
-
-  Op worker_next(ProgramContext& ctx) {
-    const std::uint32_t me = ctx.rank - 1;
-    // Worker's share of the queries, in dispatch order.
-    while (query_ < cfg_.queries && query_ % workers_ != me) skip_query();
-    if (query_ >= cfg_.queries) return OpEnd{};
-    const std::uint64_t frag_size = cfg_.database_size / cfg_.fragments;
-    switch (step_) {
-      case 0:
-        step_ = 1;
-        return OpRecv{0, kDispatchTag};
-      case 1: {  // scan a fragment slice for this query
-        const std::uint64_t len =
-            std::min(frag_size, rng_.uniform_between(cfg_.min_size, cfg_.max_size));
-        const std::uint64_t frag = rng_.uniform(cfg_.fragments);
-        const std::uint64_t pos = rng_.uniform(frag_size - len + 1);
-        step_ = 2;
-        IoCall call;
-        call.file = cfg_.database_file;
-        call.segments.push_back(Segment{frag * frag_size + pos, len});
-        return OpIo{std::move(call)};
-      }
-      case 2:
-        step_ = 3;
-        return OpCompute{cfg_.compute_per_query};
-      default: {
-        step_ = 0;
-        const std::uint64_t result = rng_.uniform_between(cfg_.min_size, cfg_.max_size);
-        ++query_;
-        return OpSend{0, result, kResultTag};
-      }
-    }
-  }
-
-  void skip_query() { ++query_; }
-
-  MasterWorkerConfig cfg_;
-  sim::Rng rng_;
-  bool seeded_ = false;
-  std::uint32_t query_ = 0;
-  std::uint32_t workers_ = 1;
-  int step_ = 0;
-  std::uint64_t write_pos_ = 0;
 };
 
 class DependentProgram final : public Cloneable<DependentProgram> {
@@ -459,9 +369,6 @@ std::unique_ptr<mpi::Program> make_btio(const BtioConfig& cfg) {
 }
 std::unique_ptr<mpi::Program> make_dependent(const DependentConfig& cfg) {
   return std::make_unique<DependentProgram>(cfg);
-}
-std::unique_ptr<mpi::Program> make_master_worker(const MasterWorkerConfig& cfg) {
-  return std::make_unique<MasterWorkerProgram>(cfg);
 }
 
 }  // namespace dpar::wl

@@ -102,27 +102,8 @@ struct BtioConfig {
   bool read_back = true;            ///< verification pass at the end
   bool collective = false;
   sim::Time compute_per_step = sim::msec(2);
-  /// BT's per-iteration residual allreduce; 0 uses a plain barrier.
-  std::uint64_t allreduce_bytes = 0;
 };
 std::unique_ptr<mpi::Program> make_btio(const BtioConfig& cfg);
-
-/// Master/worker sequence search with explicit MPI messaging (S3asim's real
-/// structure): rank 0 dispatches queries to workers and writes their result
-/// sizes; workers read database fragments, compute, and send results back.
-/// Exercises the point-to-point layer under every MPI-IO driver.
-struct MasterWorkerConfig {
-  pfs::FileId database_file = 0;
-  pfs::FileId result_file = 0;
-  std::uint64_t database_size = 1ull << 30;
-  std::uint32_t fragments = 16;
-  std::uint32_t queries = 32;
-  std::uint64_t min_size = 1000;
-  std::uint64_t max_size = 100'000;
-  sim::Time compute_per_query = sim::msec(1);
-  std::uint64_t seed = 1;
-};
-std::unique_ptr<mpi::Program> make_master_worker(const MasterWorkerConfig& cfg);
 
 struct DependentConfig {
   pfs::FileId file = 0;

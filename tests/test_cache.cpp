@@ -118,23 +118,10 @@ TEST_F(CacheFixture, InsertThenCovers) {
   EXPECT_EQ(cache.chunk_count(), 2u);
 }
 
-TEST_F(CacheFixture, MissingComputesHoles) {
-  cache.insert(1, Segment{0, 64 * 1024}, 5, false);
-  cache.insert(1, Segment{128 * 1024, 64 * 1024}, 5, false);
-  const auto miss = cache.missing(1, Segment{0, 256 * 1024});
-  ASSERT_EQ(miss.size(), 2u);
-  EXPECT_EQ(miss[0], (Segment{64 * 1024, 64 * 1024}));
-  EXPECT_EQ(miss[1], (Segment{192 * 1024, 64 * 1024}));
-}
-
 TEST_F(CacheFixture, PartialChunkValidity) {
   cache.insert(1, Segment{100, 200}, 5, false);
   EXPECT_TRUE(cache.covers(1, Segment{100, 200}));
   EXPECT_FALSE(cache.covers(1, Segment{0, 100}));
-  const auto miss = cache.missing(1, Segment{0, 400});
-  ASSERT_EQ(miss.size(), 2u);
-  EXPECT_EQ(miss[0], (Segment{0, 100}));
-  EXPECT_EQ(miss[1], (Segment{300, 100}));
 }
 
 TEST_F(CacheFixture, WriteMarksDirtyAndReadYourWrites) {

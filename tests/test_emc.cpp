@@ -102,8 +102,8 @@ TEST_F(EmcFixture, RegisterAcceptsOnlyTheNextJobId) {
   // The fixture registered job 1. Re-registering it or skipping an id is
   // rejected and leaves the table as it was, so the next job still gets 2.
   auto& emc = tb->emc();
-  mpi::Job again(tb->engine(), 1, "again", tb->vanilla(), tb->network());
-  mpi::Job gap(tb->engine(), 3, "gap", tb->vanilla(), tb->network());
+  mpi::Job again(tb->engine(), 1, "again", tb->vanilla());
+  mpi::Job gap(tb->engine(), 3, "gap", tb->vanilla());
   EXPECT_THROW(emc.register_job(again, Policy::kForcedDataDriven), std::invalid_argument);
   EXPECT_THROW(emc.register_job(gap, Policy::kForcedDataDriven), std::invalid_argument);
   EXPECT_EQ(emc.mode(job->id()), Mode::kNormal);

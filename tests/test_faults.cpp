@@ -306,8 +306,6 @@ TEST(FaultInjection, FaultLedgerFormatsEveryCounter) {
   const std::string report = metrics::format_fault_report(c);
   EXPECT_NE(report.find("disk_media_errors: 3"), std::string::npos);
   EXPECT_NE(report.find("client_retries: 7"), std::string::npos);
-  const std::string line = metrics::fault_summary_line(c);
-  EXPECT_NE(line.find("disk=3"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

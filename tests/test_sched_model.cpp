@@ -1,6 +1,6 @@
 // Differential tests: the flat I/O schedulers (sched_simple.cpp,
-// sched_cfq.cpp, sched_anticipatory.cpp) against the frozen multimap
-// originals (sched_reference.cpp), under randomized arrival / dispatch /
+// sched_cfq.cpp) against the frozen multimap originals
+// (sched_reference.cpp), under randomized arrival / dispatch /
 // expiry sequences — the same treatment test_rangeset_model.cpp gives
 // RangeSet. Every Decision must match field for field.
 //
@@ -72,8 +72,6 @@ const Policy kPolicies[] = {
      +[] { return make_reference_cscan_scheduler(); }},
     {"cfq", +[] { return make_cfq_scheduler(); },
      +[] { return make_reference_cfq_scheduler(); }},
-    {"anticipatory", +[] { return make_anticipatory_scheduler(); },
-     +[] { return make_reference_anticipatory_scheduler(); }},
 };
 
 /// Drive flat and reference through one randomized schedule and compare every

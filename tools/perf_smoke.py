@@ -38,7 +38,7 @@ MIN_DECOMPOSE_SPEEDUP = 2.0
 # lose end to end.
 MAX_FIGURE_REGRESSION = 0.05
 FIGURE_PREFIX = "figures/"
-GATED_POLICIES = ("deadline", "cscan", "cfq", "anticipatory")
+GATED_POLICIES = ("deadline", "cscan", "cfq")
 UNGATED_POLICIES = ("noop",)
 # Benchmarks that must be present in every bench_micro run: a silently
 # dropped benchmark would otherwise keep passing on its stale baseline row.
